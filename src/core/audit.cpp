@@ -153,7 +153,35 @@ struct grid_inspector {
         }
         return {};
     }
+
+    static std::string check_nn_bounds(const grid_index& g,
+                                       const std::vector<double>& nn_dist) {
+        std::ostringstream err;
+        if (g.nn_bound_.size() != g.cells_.size())
+            return "NN-bound table does not match the cell count";
+        for (std::size_t c = 0; c < g.cells_.size(); ++c) {
+            for (const topo::node_id id : g.cells_[c]) {
+                const auto sid = static_cast<std::size_t>(id);
+                if (sid >= nn_dist.size()) {
+                    err << "id " << id << " has no NN-distance record";
+                    return err.str();
+                }
+                if (nn_dist[sid] > g.nn_bound_[c]) {
+                    err << "cell " << c << " NN bound " << g.nn_bound_[c]
+                        << " is below occupant " << id
+                        << "'s NN distance " << nn_dist[sid];
+                    return err.str();
+                }
+            }
+        }
+        return {};
+    }
 };
+
+std::string verify_grid_nn_bounds(const grid_index& g,
+                                  const std::vector<double>& nn_dist) {
+    return grid_inspector::check_nn_bounds(g, nn_dist);
+}
 
 std::string verify_grid_vs_live_set(const grid_index& g,
                                     const topo::clock_tree& t) {

@@ -86,6 +86,13 @@ void checkpoint(const char* site, const std::string& diagnostic);
 [[nodiscard]] std::string verify_grid_vs_live_set(const grid_index& g,
                                                   const topo::clock_tree& t);
 
+/// Per-cell NN bounds of the grid backend (the bounded fold-in's pruning
+/// invariant): every cell's bound is >= `nn_dist[id]` for each live root
+/// `id` registered in the cell.  `nn_dist` is the engine's id -> current
+/// nearest-neighbour distance table.
+[[nodiscard]] std::string verify_grid_nn_bounds(
+    const grid_index& g, const std::vector<double>& nn_dist);
+
 /// D-ary heap order over a caller-owned vector (the engine's selection
 /// and radius heaps): no element orders above its parent under `Cmp`
 /// (dary_heap.hpp semantics — the comparator-maximum sits at front()).

@@ -248,12 +248,15 @@ class nearest_reducer {
           cache_on_(opt.plan_cache && solver.ledger() == nullptr),
           spec_on_(cache_on_ && opt.speculate_k > 0 &&
                    opt.executor != nullptr && opt.executor->concurrency() > 1),
-          // The batch kernels' fast path requires ledger-free planning
-          // (plan_kernels.hpp); a ledger-backed run would bounce every
-          // lane anyway, so gate the dispatch off entirely and keep the
-          // kernel counters at zero there.
+          // The batch plan kernels' fast path requires ledger-free
+          // planning (plan_kernels.hpp); a ledger-backed run would bounce
+          // every lane anyway, so gate the plan dispatch off entirely and
+          // keep the plan counters at zero there.
           batch_on_(opt.kernel == plan_kernel::batch &&
-                    solver.ledger() == nullptr) {
+                    solver.ledger() == nullptr),
+          // NN maintenance reads arcs and bans, never the ledger, so its
+          // fast paths follow the kernel knob alone.
+          nn_batch_(opt.kernel == plan_kernel::batch) {
         s_.reset(t_.size());
         for (topo::node_id r : roots) recompute(r);
     }
@@ -352,9 +355,14 @@ class nearest_reducer {
             "selection/plan-cache",
             audit::verify_plan_cache_generations(s_.plans, s_.gen));
         if constexpr (std::is_same_v<Index, grid_index>) {
-            if (step % 64 == 1)
+            if (step % 64 == 1) {
                 audit::checkpoint("selection/grid",
                                   audit::verify_grid_vs_live_set(idx_, t_));
+                if (nn_batch_)
+                    audit::checkpoint(
+                        "selection/grid-nn-bound",
+                        audit::verify_grid_nn_bounds(idx_, s_.nn_dist));
+            }
         }
     }
 #endif
@@ -511,6 +519,9 @@ class nearest_reducer {
         s_.nn_to[si] = j;
         s_.nn_dist[si] = d;
         ++s_.gen[si];
+        if constexpr (std::is_same_v<Index, grid_index>) {
+            if (nn_batch_) idx_.raise_nn_bound(i, d);
+        }
         if (j == topo::knull_node) {
             s_.starved.insert(i);
             return;
@@ -528,7 +539,8 @@ class nearest_reducer {
     }
 
     void recompute(topo::node_id i) {
-        // Batch kernel only: a centre that takes part in no ban can skip
+        // Batch kernel only (ledger-backed solvers included — NN queries
+        // never read the ledger): a centre that takes part in no ban can skip
         // every per-candidate ban probe — pair (i, j) can only be banned
         // if *both* endpoints have nonzero ban degree — so the query runs
         // with the fully inlined no_bans predicate, and centres that do
@@ -536,7 +548,7 @@ class nearest_reducer {
         // recompute qualifies (bans accrue one rejected pair at a time).
         // The scalar kernel keeps the seed's plain hash probe so the
         // reference rows of the perf series measure the seed path.
-        if (batch_on_) {
+        if (nn_batch_) {
             const auto si = static_cast<std::size_t>(i);
             if (si >= s_.ban_deg.size() || s_.ban_deg[si] == 0) {
                 recompute_with(i, no_bans{});
@@ -554,7 +566,7 @@ class nearest_reducer {
         // linear scan has no gather stage worth batching); the reducer's
         // NN maintenance is single-threaded, so one scratch serves the run.
         if constexpr (std::is_same_v<Index, grid_index>) {
-            if (batch_on_) {
+            if (nn_batch_) {
                 const auto n = idx_.nearest_if_batched(i, banned, s_.nnq);
                 if (n.has_value())
                     set_nn(i, n->first, n->second);
@@ -655,7 +667,10 @@ class nearest_reducer {
     ///   * starved roots: the new root is their only unbanned partner;
     ///   * roots within the influence radius of c's arc: fold c in when
     ///     strictly closer (ties keep the older, smaller id — exactly the
-    ///     backends' tie-break, since c has the largest id).
+    ///     backends' tie-break, since c has the largest id).  The batch
+    ///     kernel's grid walk skips every cell whose NN bound c's arc
+    ///     cannot beat (grid_index::for_each_improvable), which finds the
+    ///     same improvable roots as the scan out to the global radius.
     void integrate(topo::node_id a, topo::node_id b, topo::node_id c) {
         grow(c);
         auto& affected = s_.affected;
@@ -684,14 +699,16 @@ class nearest_reducer {
         const double radius = current_radius();
         const geom::tilted_rect& arc_c = t_.node(c).arc;
         if constexpr (std::is_same_v<Index, grid_index>) {
-            if (batch_on_) {
-                // Batched fold-in: same candidate superset and visit
-                // order, distances from the SoA kernel (symmetric gap, so
-                // the orientation swap is bitwise-neutral); the
-                // duplicate-visit guard and the strict `<` update are the
-                // scalar loop's, applied to precomputed distances.
-                idx_.for_each_within_batched(
-                    arc_c, radius, s_.nnq, [&](topo::node_id i, double d) {
+            if (nn_batch_) {
+                // Bounded fold-in: every improvable root, distances from
+                // the SoA kernel (symmetric gap, so the orientation swap
+                // is bitwise-neutral); the duplicate-visit guard and the
+                // strict `<` update are the scalar loop's, applied to
+                // precomputed distances.  Visit order differs from the
+                // scalar loop, which only permutes reverse-list and heap
+                // push order — pops follow the total (key, a, b) order.
+                idx_.for_each_improvable(
+                    arc_c, radius, s_.nn_dist, [&](topo::node_id i, double d) {
                         if (i == c) return;
                         const auto si = static_cast<std::size_t>(i);
                         if (s_.nn_to[si] == c) return;
@@ -733,7 +750,8 @@ class nearest_reducer {
     Index idx_;
     const bool cache_on_;  ///< plan memo enabled (knob on, ledger-free)
     const bool spec_on_;   ///< top-k dispatch enabled (memo + wide executor)
-    const bool batch_on_;  ///< SoA kernels enabled (knob on, ledger-free)
+    const bool batch_on_;  ///< SoA plan kernels (knob on, ledger-free)
+    const bool nn_batch_;  ///< batched NN queries and bounded fold-in
 };
 
 template <class Index>

@@ -85,14 +85,18 @@ struct engine_options {
     /// check, split search and arc-box merge of up to kplan_lanes
     /// independent pairs from one instruction stream, with lanes needing
     /// the rare general path (empty first window, ledger modes) falling
-    /// back to the scalar solver — and switches the grid backend's NN
-    /// queries to the batched gather/distance kernels over reusable
-    /// scratch.  Trees and every pre-existing statistic are bit-identical
-    /// to `scalar` across backends, thread counts, speculate_k and shard
-    /// counts; only wall-clock and the kernel counters below
-    /// (batch_planned, kernel_fallbacks, nn_scratch_reuses) move.
-    /// Ledger-backed solvers run scalar regardless (their plans read
-    /// offsets that commits bind, so no lane qualifies anyway).
+    /// back to the scalar solver — and switches the nearest-pair
+    /// reducer's NN maintenance to its fast paths: degree-pruned ban
+    /// probes, and on the grid backend the batched gather/distance
+    /// kernels over reusable scratch plus the bounded fold-in walk
+    /// (DESIGN.md §2).  Trees and every pre-existing statistic are
+    /// bit-identical to `scalar` across backends, thread counts,
+    /// speculate_k and shard counts; only wall-clock and the kernel
+    /// counters below (batch_planned, kernel_fallbacks,
+    /// nn_scratch_reuses) move.  Ledger-backed solvers keep scalar plan
+    /// solves (their plans read offsets that commits bind, so no lane
+    /// qualifies), but their NN maintenance, which never reads the
+    /// ledger, takes the fast paths too.
     plan_kernel kernel = plan_kernel::batch;
     /// Optional worker pool for multi-merge rounds (non-owning; null runs
     /// sequentially).  Each round's nearest-neighbour queries fan out, and

@@ -51,9 +51,18 @@ void grid_index::size_to(const std::vector<topo::node_id>& items) {
         nv_ = std::max(1, static_cast<int>(std::floor(bv.length() / cell_)) + 1);
     }
     inv_cell_ = 1.0 / cell_;
+    // range_of's floor((x - lo) / cell) and gap_lb's slab edges each round
+    // within a few ulps of the coordinates involved; 1e-12 relative is
+    // thousands of ulps of margin.
+    gap_slack_ = 1e-12 * (std::abs(u_lo_) + std::abs(v_lo_) +
+                          static_cast<double>(nu_ + nv_) * cell_);
     cells_.assign(static_cast<std::size_t>(nu_) * static_cast<std::size_t>(nv_),
                   {});
     slab_.assign(cells_.size(), {});
+    // Nothing is known about the NN distances of the roots (re)placed
+    // next, so every cell starts unbounded; the first fold-in walk over a
+    // cell tightens it.
+    nn_bound_.assign(cells_.size(), std::numeric_limits<double>::infinity());
     sized_for_ = std::max<std::size_t>(std::size_t{1}, items.size());
 }
 

@@ -43,7 +43,9 @@
 /// with correspondingly larger cells.  Rebuilds never change any answer:
 /// `nearest_if` is exact for every cell size (the ring lower bound is
 /// admissible regardless), `for_each_within` stays an admissible superset,
-/// and the active_set — the engine's slot tie-break — is untouched.
+/// the per-cell NN bounds restart at +inf (the fold-in walk merely loses
+/// pruning until it rescans a cell), and the active_set — the engine's
+/// slot tie-break — is untouched.
 
 #include "core/nn_index.hpp"
 #include "core/plan_kernels.hpp"
@@ -187,26 +189,61 @@ class grid_index {
                 for (topo::node_id id : cells_[cell_at(cu, cv)]) fn(id);
     }
 
-    /// Batched for_each_within: the same candidate multiset as the scalar
-    /// walk (gathered from the cell-slab mirror, so per-cell order may
-    /// differ — callers' folds must be visit-order independent as well as
-    /// idempotent, which the engine's strict-`<` NN fold is), and
-    /// `fn(id, d)` additionally receives the arc distance of `rect` to
-    /// the candidate, computed by the SoA kernel (the gap is symmetric
-    /// bitwise, so either orientation matches a scalar
-    /// `candidate.distance(rect)`).  Duplicates are reported once per
-    /// cell, distances included.
+    /// Raise the NN-distance bound of every cell `id` is registered in to
+    /// at least `d`.  The engine calls this whenever it (re)sets an active
+    /// root's nearest-neighbour distance, which keeps each cell's bound an
+    /// upper bound on its occupants' NN distances — the invariant the
+    /// bounded fold-in walk below prunes by (audit::verify_grid_nn_bounds).
+    void raise_nn_bound(topo::node_id id, double d) {
+        const cell_range& c = span_[static_cast<std::size_t>(id)];
+        for (int cv = c.v0; cv <= c.v1; ++cv)
+            for (int cu = c.u0; cu <= c.u1; ++cu) {
+                double& b = nn_bound_[cell_at(cu, cv)];
+                b = std::max(b, d);
+            }
+    }
+
+    /// Bounded fold-in walk (DESIGN.md §2): invoke `fn(id, d)` for a
+    /// superset of the active roots `i` with `d(rect, arc_i) < nn_dist[i]`
+    /// — the roots whose nearest neighbour a new root with arc `rect`
+    /// would beat — where `radius` bounds every live NN distance and `d`
+    /// is the SoA kernel's gap (bitwise equal to a scalar
+    /// `candidate.distance(rect)`).  The walk covers the cells within
+    /// `radius` of `rect` but skips every cell whose gap lower bound to
+    /// `rect` is >= the cell's NN bound: each occupant `i` then has
+    /// `d >= lb >= bound >= nn_dist[i]`, so none can improve.  An
+    /// improvable root is still reported from the cell holding its arc's
+    /// point nearest `rect`, whose lower bound is <= `d < nn_dist[i]`.
+    /// A scanned cell's bound is re-tightened to its occupants' exact
+    /// maximum NN distance, read after `fn` ran (`fn` may lower them).
+    /// Ids in several scanned cells are reported once per cell, and cells
+    /// gather from the slab mirror, so callers' folds must be idempotent
+    /// and visit-order independent (the engine's strict-`<` fold is).
     template <class Fn>
-    void for_each_within_batched(const geom::tilted_rect& rect, double radius,
-                                 nn_query_scratch& scratch, Fn fn) const {
-        if (scratch.ids.capacity() != 0) ++scratch.reuses;
+    void for_each_improvable(const geom::tilted_rect& rect, double radius,
+                             const std::vector<double>& nn_dist, Fn fn) {
         const cell_range q = range_of(rect.expanded(std::max(radius, 0.0)));
-        scratch.ids.clear();
-        for (int cv = q.v0; cv <= q.v1; ++cv)
-            for (int cu = q.u0; cu <= q.u1; ++cu)
-                gather_cell(cell_at(cu, cv), topo::knull_node, scratch.ids);
-        batch_arc_for_each(arcs_.data(), scratch.ids.data(),
-                           scratch.ids.size(), packed_arc::of(rect), fn);
+        const packed_arc p = packed_arc::of(rect);
+        double tight = 0.0;  // the scanned cell's exact NN maximum
+        const auto visit = [&](topo::node_id id, double d) {
+            fn(id, d);
+            tight = std::max(tight, nn_dist[static_cast<std::size_t>(id)]);
+        };
+        for (int cv = q.v0; cv <= q.v1; ++cv) {
+            const double gv = gap_lb(p.v_lo, p.v_hi, v_lo_, cv, nv_);
+            for (int cu = q.u0; cu <= q.u1; ++cu) {
+                const std::size_t c = cell_at(cu, cv);
+                if (std::max(gv, gap_lb(p.u_lo, p.u_hi, u_lo_, cu, nu_)) >=
+                    nn_bound_[c])
+                    continue;  // no occupant's NN can be beaten
+                const slab_cell& sc = slab_[c];
+                const topo::node_id* ids =
+                    sc.n <= slab_cell::kinline ? sc.ids : cells_[c].data();
+                tight = 0.0;
+                batch_arc_for_each(arcs_.data(), ids, sc.n, p, visit);
+                nn_bound_[c] = tight;
+            }
+        }
     }
 
   private:
@@ -272,19 +309,19 @@ class grid_index {
     [[nodiscard]] cell_range range_of(const geom::tilted_rect& r) const;
     [[nodiscard]] int max_ring_from(const cell_range& q) const;
 
-    /// Gather the ids registered in cell `c` into `out`, skipping `self`
-    /// (pass knull_node to keep everything): inline from the slab record,
-    /// or from the authoritative cell vector when the cell is spilled.
-    void gather_cell(std::size_t c, topo::node_id self,
-                     std::vector<topo::node_id>& out) const {
-        const slab_cell& sc = slab_[c];
-        if (sc.n <= slab_cell::kinline) {
-            for (std::uint32_t k = 0; k < sc.n; ++k)
-                if (sc.ids[k] != self) out.push_back(sc.ids[k]);
-        } else {
-            for (topo::node_id id : cells_[c])
-                if (id != self) out.push_back(id);
-        }
+    /// Admissible lower bound on the gap between the interval [lo, hi]
+    /// and any point, within cell `k`'s slab of an axis with origin `o`
+    /// and `n` cells, of an arc registered there.  Border slabs are
+    /// open-ended outward (clamping piles escaped arcs into them — see
+    /// the file comment), and interior edges are widened by `gap_slack_`
+    /// to cover the floor rounding of range_of.
+    [[nodiscard]] double gap_lb(double lo, double hi, double o, int k,
+                                int n) const {
+        constexpr double inf = std::numeric_limits<double>::infinity();
+        const double s_lo = k == 0 ? -inf : o + k * cell_ - gap_slack_;
+        const double s_hi =
+            k == n - 1 ? inf : o + (k + 1) * cell_ + gap_slack_;
+        return std::max(0.0, std::max(s_lo - hi, lo - s_hi));
     }
 
     /// Apply `fn` to the index of every cell at Chebyshev cell distance
@@ -331,9 +368,14 @@ class grid_index {
     std::vector<packed_arc> arcs_;
     std::vector<std::vector<topo::node_id>> cells_;
     std::vector<slab_cell> slab_;  ///< cell -> contiguous occupancy mirror
+    /// cell -> upper bound on the NN distance of every registered root
+    /// (+inf after each sizing; raised by raise_nn_bound, re-tightened by
+    /// for_each_improvable).
+    std::vector<double> nn_bound_;
     double u_lo_ = 0.0, v_lo_ = 0.0;  ///< grid origin in tilted space
     double cell_ = 1.0;               ///< cell side, tilted units
     double inv_cell_ = 1.0;
+    double gap_slack_ = 0.0;  ///< gap_lb's rounding margin, tilted units
     int nu_ = 1, nv_ = 1;
     std::size_t sized_for_ = 1;  ///< population the cells were sized for
     int rebuilds_ = 0;           ///< occupancy-adaptive rebuild count

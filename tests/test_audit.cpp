@@ -2,9 +2,9 @@
 //
 //  * self-tests: every audit::verify_* checker runs green on healthy
 //    state, then a violation is seeded — a corrupted edge, a stale grid
-//    registration, a broken heap order, a leaked scratch lease, books
-//    that do not sum, a plan-cache stamp from the future — and the
-//    checker must name it.  A checker that cannot detect the corruption
+//    registration, a grid NN bound below an occupant's NN distance, a
+//    broken heap order, a leaked scratch lease, books that do not sum, a
+//    plan-cache stamp from the future — and the checker must name it.  A checker that cannot detect the corruption
 //    it claims to guard against is worse than none: it certifies.
 //  * checkpoint integration: the `checkpoint` helper counts and throws
 //    correctly in every build, and in ASTCLK_AUDIT builds a routed
@@ -117,6 +117,34 @@ TEST(AuditGrid, SeededStaleRegistrationFires) {
     t.node(roots[7]).arc = t.node(roots[7]).arc.expanded(1e6);
     const std::string diag = audit::verify_grid_vs_live_set(g, t);
     ASSERT_NE(diag, "");
+}
+
+TEST(AuditGrid, NnBoundsHoldThroughWalksAndSeededViolationFires) {
+    const auto inst = small_instance(64);
+    topo::clock_tree t;
+    std::vector<topo::node_id> roots;
+    for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+        roots.push_back(t.add_leaf(inst, static_cast<std::int32_t>(i)));
+    grid_index g(&t, roots);
+    std::vector<double> nn(t.size());
+    for (std::size_t i = 0; i < nn.size(); ++i)
+        nn[i] = 1.0 + static_cast<double>(i);
+    // A freshly sized grid bounds nothing yet: every cell is +inf.
+    EXPECT_EQ(audit::verify_grid_nn_bounds(g, nn), "");
+    for (const topo::node_id id : roots)
+        g.raise_nn_bound(id, nn[static_cast<std::size_t>(id)]);
+    // A fold-in walk re-tightens the scanned cells to their occupants'
+    // exact maximum, which still bounds every occupant.
+    g.for_each_improvable(t.node(roots[0]).arc, nn.back(), nn,
+                          [](topo::node_id, double) {});
+    EXPECT_EQ(audit::verify_grid_nn_bounds(g, nn), "");
+    // Grow a root's NN distance without raising its cells' bounds — the
+    // corruption that would let the walk skip a root it must fold into.
+    // roots[0]'s own cell was scanned (gap 0 < bound), so it is tight.
+    nn[static_cast<std::size_t>(roots[0])] = 1e9;
+    const std::string diag = audit::verify_grid_nn_bounds(g, nn);
+    ASSERT_NE(diag, "");
+    EXPECT_NE(diag.find("NN bound"), std::string::npos) << diag;
 }
 
 // -------------------------------------------------------- heap invariant

@@ -1,8 +1,10 @@
 // Grid-backend equivalence: the spatial grid index must answer exactly the
 // same nearest-neighbour queries (same partner id, same distance, same
 // deterministic tie-breaks) as the linear verification scan, and the full
-// engine must produce identical trees under either backend.
+// engine must produce identical trees under either backend.  The bounded
+// fold-in walk is checked against a brute-force oracle.
 
+#include "core/audit.hpp"
 #include "core/engine.hpp"
 #include "core/grid_index.hpp"
 #include "core/nn_index.hpp"
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 namespace astclk::core {
@@ -287,6 +290,121 @@ TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
     }
     // 300 -> 74 -> 18: at least two adaptive rebuilds on the way down.
     EXPECT_GE(grid.rebuilds(), 2);
+}
+
+TEST(GridIndex, BoundedFoldInWalkReportsEveryImprovableRoot) {
+    // Random arcs — a quarter of them escaping the initial hull, so they
+    // sit clamped in border cells — with random NN distances that are
+    // raised (with raise_nn_bound, as the engine does), lowered (which
+    // keeps every bound valid), erased (past 3/4 of the population the
+    // grid rebuilds) and re-inserted.  After every operation the per-cell
+    // bounds must dominate their occupants' NN distances, and every walk
+    // must report each live root whose gap to the query is below its NN
+    // distance, with the scalar arc distance, bit for bit.  Queries that
+    // land among escaped arcs are what catch a lower bound treating the
+    // border cells as closed boxes.
+    const auto inst = seeded_instance(240, 61, true, 4);
+    clock_tree t;
+    std::vector<node_id> live;
+    for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+        live.push_back(t.add_leaf(inst, static_cast<int>(i)));
+    geom::tilted_rect hull = t.node(live.front()).arc;
+    for (const node_id id : live) hull = hull.hull(t.node(id).arc);
+    const double ext = std::max(hull.u().length(), hull.v().length());
+
+    gen::rng rng(17);
+    const auto random_arc = [&] {
+        const double reach = rng.below(4) == 0 ? 2.0 * ext : 0.0;
+        const auto axis = [&](const geom::interval& h) {
+            const double lo = rng.uniform(h.lo - reach, h.hi + reach);
+            const double len =
+                rng.below(2) == 0 ? 0.0 : rng.uniform(0.0, ext / 4.0);
+            return geom::interval(lo, lo + len);
+        };
+        const geom::interval u = axis(hull.u());
+        return geom::tilted_rect(u, axis(hull.v()));
+    };
+
+    grid_index grid(&t, live);
+    std::vector<double> nn(t.size(), 0.0);  // id -> NN distance stand-in
+    const auto raise = [&](node_id id) {
+        nn[static_cast<std::size_t>(id)] = rng.uniform(0.0, ext / 4.0);
+        grid.raise_nn_bound(id, nn[static_cast<std::size_t>(id)]);
+    };
+    const auto add_root = [&] {
+        const node_id c = t.add_internal(live[0], live[1], random_arc(), 0.0,
+                                         0.0, 0.0, t.node(live[0]).delays);
+        nn.resize(t.size(), 0.0);
+        grid.insert(c);
+        live.push_back(c);
+        raise(c);
+    };
+    for (const node_id id : live) raise(id);
+    for (int k = 0; k < 40; ++k) add_root();
+    ASSERT_EQ(audit::verify_grid_nn_bounds(grid, nn), "");
+
+    int walks = 0;
+    for (int step = 0; step < 2000; ++step) {
+        const auto pick = [&] {
+            return static_cast<std::size_t>(rng.below(live.size()));
+        };
+        switch (rng.below(8)) {
+            case 0:
+                raise(live[pick()]);
+                break;
+            case 1:
+                nn[static_cast<std::size_t>(live[pick()])] *= rng.uniform();
+                break;
+            case 2:
+            case 3:
+            case 4:
+                if (live.size() > 12) {
+                    const std::size_t k = pick();
+                    grid.erase(live[k]);
+                    live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+                }
+                break;
+            case 5:
+                add_root();
+                break;
+            default: {
+                ++walks;
+                // Half the queries sit on a live root, the way a merged
+                // root's arc sits near its children — escaped ones too.
+                const geom::tilted_rect q =
+                    rng.below(2) == 0
+                        ? random_arc()
+                        : t.node(live[pick()])
+                              .arc.expanded(rng.uniform(0.0, ext / 16.0));
+                double radius = 0.0;
+                std::vector<node_id> want;
+                for (const node_id id : live) {
+                    const double d_id = nn[static_cast<std::size_t>(id)];
+                    radius = std::max(radius, d_id);
+                    if (t.node(id).arc.distance(q) < d_id) want.push_back(id);
+                }
+                std::unordered_set<node_id> seen;
+                grid.for_each_improvable(
+                    q, radius, nn, [&](node_id id, double d) {
+                        EXPECT_EQ(d, t.node(id).arc.distance(q)) << id;
+                        EXPECT_NE(grid.slot_of(id), -1) << id;
+                        seen.insert(id);
+                        // Half the time fold like the engine does.
+                        double& d_id = nn[static_cast<std::size_t>(id)];
+                        if (d < d_id && rng.below(2) == 0) d_id = d;
+                    });
+                for (const node_id id : want)
+                    ASSERT_EQ(seen.count(id), 1u)
+                        << "step " << step << ": improvable id " << id
+                        << " not reported";
+                break;
+            }
+        }
+        ASSERT_EQ(audit::verify_grid_nn_bounds(grid, nn), "")
+            << "step " << step;
+    }
+    EXPECT_GT(walks, 300);
+    EXPECT_GE(grid.rebuilds(), 1);
 }
 
 }  // namespace

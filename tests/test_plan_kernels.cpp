@@ -21,9 +21,13 @@
 //    path (zero fallbacks on the accepted stream), a ledger-backed
 //    solver bounces every lane, the scalar kernel books nothing, and
 //    grid-backend batch runs reuse the NN gather scratch;
-//  * soft-ledger routes: batch dispatch is gated off entirely (every
-//    lane would bounce), so the counters stay zero and the tree still
-//    matches the scalar kernel run.
+//  * ledger-backed routes (soft ledger at 10 ps, automatic at zero and
+//    at 10 ps skew): the batch *plan* dispatch is gated off entirely
+//    (every lane would bounce), so the plan counters stay zero, while
+//    NN maintenance still takes the batched queries and the bounded
+//    fold-in — and the tree matches the scalar kernel run on r1–r5 with
+//    clustered and intermingled groups under both NN backends, and on
+//    l1.
 
 #include "core/plan_kernels.hpp"
 #include "core/route_service.hpp"
@@ -337,10 +341,70 @@ TEST(PlanKernels, SoftLedgerRouteGatesBatchOffAndStaysIdentical) {
     const auto ref = route(scalar_req);
     const auto got = route(batch_req);
     expect_identical(got, ref, "soft ledger");
-    // Ledger-backed planning gates the batch dispatch off entirely: no
-    // lane would qualify, so nothing is booked to any kernel counter.
+    // Ledger-backed planning gates the batch plan dispatch off entirely:
+    // no lane would qualify, so nothing is booked to the plan counters
+    // (the batched NN queries still run; see the ledger tests below).
     EXPECT_EQ(got.stats.batch_planned, 0);
     EXPECT_EQ(got.stats.kernel_fallbacks, 0);
+}
+
+/// A ledger-backed route under both kernels: trees and statistics must
+/// match, the plan counters must stay at zero (no batch plan dispatch),
+/// and on the grid backend the batched NN queries must have run.
+void expect_ledger_batch_identical(const topo::instance& inst, ast_mode mode,
+                                   double bound, nn_backend be,
+                                   const std::string& what) {
+    auto scalar_req = kernel_request(inst, plan_kernel::scalar, be, 0, 1);
+    scalar_req.mode = mode;
+    scalar_req.spec =
+        bound == 0.0 ? skew_spec::zero() : skew_spec::uniform(bound);
+    auto batch_req = scalar_req;
+    batch_req.options.engine.kernel = plan_kernel::batch;
+    const auto ref = route(scalar_req);
+    const auto got = route(batch_req);
+    expect_identical(got, ref, what);
+    EXPECT_EQ(got.stats.batch_planned, 0) << what;
+    EXPECT_EQ(got.stats.kernel_fallbacks, 0) << what;
+    if (be == nn_backend::grid) {
+        EXPECT_GT(got.stats.nn_scratch_reuses, 0) << what;
+    }
+}
+
+TEST(PlanKernels, LedgerModesBatchNnBitIdenticalOnPaperInstances) {
+    constexpr int kgroups = 8;
+    for (const char* name : {"r1", "r2", "r3", "r4", "r5"}) {
+        const gen::instance_spec spec = gen::paper_spec(name);
+        const topo::instance base = gen::generate(spec);
+        for (const bool intermingled : {false, true}) {
+            topo::instance inst = base;
+            if (intermingled)
+                gen::apply_intermingled_groups(inst, kgroups, spec.seed + 1);
+            else
+                gen::apply_clustered_groups(inst, kgroups);
+            for (const nn_backend be :
+                 {nn_backend::grid, nn_backend::linear}) {
+                const std::string what =
+                    std::string(name) +
+                    (intermingled ? " intermingled" : " clustered") +
+                    (be == nn_backend::grid ? " grid" : " linear");
+                expect_ledger_batch_identical(inst, ast_mode::soft_ledger,
+                                              10e-12, be,
+                                              what + " soft@10ps");
+                expect_ledger_batch_identical(inst, ast_mode::automatic, 0.0,
+                                              be, what + " automatic@0");
+            }
+        }
+    }
+}
+
+TEST(PlanKernels, AutomaticBoundedBatchNnBitIdenticalOnL1) {
+    // The default request at scale: automatic at a 10 ps bound (soft
+    // ledger) on 10k sinks, grid backend.
+    const gen::instance_spec spec = gen::large_spec("l1");
+    topo::instance inst = gen::generate(spec);
+    gen::apply_intermingled_groups(inst, 8, spec.seed + 1);
+    expect_ledger_batch_identical(inst, ast_mode::automatic, 10e-12,
+                                  nn_backend::grid, "l1 automatic@10ps");
 }
 
 }  // namespace
