@@ -57,11 +57,6 @@ struct perf_record {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
-    /// Plan-cache / speculation rates (nearest_pair series only, zero
-    /// elsewhere): hits / lookups and wasted / dispatched of the engine's
-    /// speculative pipeline (engine_stats counters).
-    double cache_hit_rate = 0.0;
-    double wasted_spec_rate = 0.0;
 };
 
 /// Nearest-rank percentile of an ascending-sorted sample (q in [0, 1]);
@@ -93,9 +88,7 @@ inline double percentile_sorted(const std::vector<double>& sorted_xs,
             << ", \"merges_per_sec\": " << r.merges_per_sec
             << ", \"wirelength\": " << r.wirelength
             << ", \"p50\": " << r.p50 << ", \"p95\": " << r.p95
-            << ", \"p99\": " << r.p99
-            << ", \"cache_hit_rate\": " << r.cache_hit_rate
-            << ", \"wasted_spec_rate\": " << r.wasted_spec_rate << "}"
+            << ", \"p99\": " << r.p99 << "}"
             << (i + 1 < records.size() ? "," : "") << "\n";
     }
     out << "]\n";

@@ -71,30 +71,27 @@ bench::perf_record bench_reduce(const topo::instance& inst,
     return rec;
 }
 
-/// The speculative nearest-pair pipeline in isolation: one engine.reduce
-/// at a given worker-thread count and speculate_k, grid backend.  The
-/// backend tag encodes the configuration ("t1", "t1s4", "thw", "thws16",
-/// ...) so perf_diff can gate the plain single-thread series
-/// (nearest_pair:t1) while the speculative ones ride along as info.
-/// cache-hit and wasted-speculation rates come from the engine counters
-/// (deterministic, so any repetition reports the same rates).
-bench::perf_record bench_nearest_pair(const topo::instance& inst, int threads,
-                                      int speculate_k, int reps) {
+/// Backend tag "t<threads>".  Appended rather than `"t" + to_string(n)`:
+/// GCC 12 inlines that concatenation into a spurious -Wrestrict, which
+/// is fatal under ASTCLK_WERROR.
+std::string thread_tag(int threads) {
+    std::string tag = "t";
+    tag += std::to_string(threads);
+    return tag;
+}
+
+/// The nearest-pair selection loop in isolation: one single-thread
+/// engine.reduce over a reused scratch, grid backend (the gated
+/// nearest_pair:t1 series).
+bench::perf_record bench_nearest_pair(const topo::instance& inst, int reps) {
     core::engine_options eopt;
     eopt.backend = core::nn_backend::grid;
-    eopt.speculate_k = speculate_k;
-    std::unique_ptr<core::thread_pool> pool;
-    if (threads > 1) {
-        pool = std::make_unique<core::thread_pool>(threads);
-        eopt.executor = pool.get();
-    }
     const core::merge_solver solver(rc::delay_model::elmore(),
                                     core::skew_spec::zero());
     const core::bottom_up_engine engine(solver, eopt);
     bench::perf_record rec;
     rec.bench = "nearest_pair";
-    rec.backend = (threads > 1 ? "thw" : "t1");
-    if (speculate_k > 0) rec.backend += "s" + std::to_string(speculate_k);
+    rec.backend = "t1";
     rec.n = static_cast<int>(inst.sinks.size());
     rec.seconds = std::numeric_limits<double>::infinity();
     core::engine_scratch scratch;
@@ -106,15 +103,6 @@ bench::perf_record bench_nearest_pair(const topo::instance& inst, int threads,
         engine.reduce(t, std::move(roots), &st, &scratch);
         rec.seconds = std::min(rec.seconds, now_diff(t0));
         rec.merges = st.merges;
-        const int lookups = st.plan_cache_hits + st.plan_cache_misses;
-        rec.cache_hit_rate =
-            lookups > 0 ? static_cast<double>(st.plan_cache_hits) / lookups
-                        : 0.0;
-        rec.wasted_spec_rate =
-            st.speculated_plans > 0
-                ? static_cast<double>(st.wasted_speculation) /
-                      st.speculated_plans
-                : 0.0;
     }
     rec.merges_per_sec =
         rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
@@ -156,9 +144,7 @@ plan_stream make_plan_stream(const topo::instance& inst,
 /// solver.plan() loop.  The t1-vs-scalar ratio at the largest n is the
 /// headline batch-kernel speedup (plans are bit-identical either way —
 /// tests/test_plan_kernels.cpp asserts that; this series measures only
-/// the wall-clock the kernels buy).  The t1 row's cache_hit_rate field
-/// carries the fast-path fraction 1 - fallbacks/solves, proving the
-/// kernels engaged rather than bouncing to the scalar path wholesale.
+/// the wall-clock the kernels buy).
 bench::perf_record bench_plan_batch(const plan_stream& ps,
                                     const core::merge_solver& solver,
                                     core::plan_kernel kernel, int n,
@@ -170,12 +156,10 @@ bench::perf_record bench_plan_batch(const plan_stream& ps,
     rec.seconds = std::numeric_limits<double>::infinity();
     std::vector<std::optional<core::merge_plan>> out(ps.pairs.size());
     for (int rep = 0; rep < reps; ++rep) {
-        int fallbacks = 0;
         const auto t0 = std::chrono::steady_clock::now();
         if (kernel == core::plan_kernel::batch) {
-            fallbacks = core::solve_plan_batch(solver, ps.tree,
-                                               ps.pairs.data(),
-                                               ps.pairs.size(), out.data());
+            core::solve_plan_batch(solver, ps.tree, ps.pairs.data(),
+                                   ps.pairs.size(), out.data());
         } else {
             for (std::size_t i = 0; i < ps.pairs.size(); ++i)
                 out[i] = solver.plan(ps.tree, ps.pairs[i].first,
@@ -183,11 +167,6 @@ bench::perf_record bench_plan_batch(const plan_stream& ps,
         }
         rec.seconds = std::min(rec.seconds, now_diff(t0));
         rec.merges = static_cast<int>(ps.pairs.size());
-        rec.cache_hit_rate =
-            ps.pairs.empty()
-                ? 0.0
-                : 1.0 - static_cast<double>(fallbacks) /
-                            static_cast<double>(ps.pairs.size());
     }
     rec.merges_per_sec =
         rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
@@ -341,7 +320,7 @@ bench::perf_record bench_service(
     const std::vector<const topo::instance*>& insts, int threads, int reps) {
     bench::perf_record rec;
     rec.bench = "service_batch";
-    rec.backend = "t" + std::to_string(threads);
+    rec.backend = thread_tag(threads);
     rec.seconds = std::numeric_limits<double>::infinity();
     const auto reqs = make_service_requests(insts, rec.n);
     for (int rep = 0; rep < reps; ++rep) {
@@ -379,7 +358,7 @@ bench::perf_record bench_stream(
     const std::vector<const topo::instance*>& insts, int threads, int reps) {
     bench::perf_record rec;
     rec.bench = "service_stream";
-    rec.backend = "t" + std::to_string(threads);
+    rec.backend = thread_tag(threads);
     rec.seconds = std::numeric_limits<double>::infinity();
     const auto reqs = make_service_requests(insts, rec.n);
     std::vector<double> latency(reqs.size());
@@ -478,26 +457,15 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Speculative nearest-pair pipeline: reduce wall-clock across worker
-    // threads {1, hw} x speculate_k {0, 4, 16}.  The t1 rows with k > 0
-    // are deliberate no-op canaries: without an executor the knob must
-    // change nothing, so t1s4/t1s16 matching t1 (time and rates) is
-    // itself the asserted property — if speculation ever engaged on the
-    // sequential path, these rows would diverge and flag it.  The n=2048 series runs in
-    // quick mode too, so the committed full baseline always shares an n
-    // with the CI smoke run — and 2048 is deliberately the smallest size
-    // whose single-thread reduce (~10 ms) is long enough for the 20%
-    // nearest_pair:t1 gate to measure the engine instead of allocator
-    // warm-up noise.  perf_diff gates the plain
-    // single-thread series (nearest_pair:t1); on 1-core hardware the
-    // speculative series measure dispatch overhead, and the JSON carries
-    // the cache-hit / wasted-speculation rates that prove the pipeline
-    // engaged.
+    // Nearest-pair selection loop: single-thread reduce wall-clock.  The
+    // n=2048 series runs in quick mode too, so the committed full
+    // baseline always shares an n with the CI smoke run — and 2048 is
+    // deliberately the smallest size whose single-thread reduce (~10 ms)
+    // is long enough for the 20% nearest_pair:t1 gate to measure the
+    // engine instead of allocator warm-up noise.
     {
         std::vector<int> np_sizes{2048};
         if (!quick) np_sizes.push_back(3101);
-        const int threads_hw = static_cast<int>(
-            std::max(2u, std::thread::hardware_concurrency()));
         for (const int n : np_sizes) {
             gen::instance_spec spec = gen::paper_spec("r1");
             spec.num_sinks = n;
@@ -507,17 +475,11 @@ int main(int argc, char** argv) {
             // gated at 20% and a ~10 ms kernel needs a deeper best-of to
             // keep scheduler noise out of the committed baseline.
             const int reps = n >= 3000 ? 3 : 7;
-            for (const int threads : {1, threads_hw}) {
-                for (const int k : {0, 4, 16}) {
-                    const auto rec =
-                        bench_nearest_pair(inst, threads, k, reps);
-                    t.add_row({rec.bench, std::to_string(rec.n), rec.backend,
-                               io::table::fixed(rec.seconds, 4),
-                               io::table::integer(rec.merges_per_sec),
-                               io::table::percent(rec.cache_hit_rate)});
-                    records.push_back(rec);
-                }
-            }
+            const auto rec = bench_nearest_pair(inst, reps);
+            t.add_row({rec.bench, std::to_string(rec.n), rec.backend,
+                       io::table::fixed(rec.seconds, 4),
+                       io::table::integer(rec.merges_per_sec), ""});
+            records.push_back(rec);
         }
     }
 
@@ -530,9 +492,7 @@ int main(int argc, char** argv) {
     // the batch row (plan_batch:t1) and reports the scalar reference
     // plus the batch-over-scalar speedup as info.  The speedup column
     // here IS the acceptance headline: batch must beat scalar >= 1.5x
-    // at the largest n.  The JSON's cache_hit_rate field carries the
-    // fast-path fraction 1 - fallbacks/solves, proving the kernels
-    // engaged rather than falling back wholesale.
+    // at the largest n.
     {
         std::vector<int> pb_sizes{2048};
         if (!quick) pb_sizes.push_back(3101);

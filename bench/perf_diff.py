@@ -14,9 +14,9 @@ Pass --no-calibrate for raw wall-clock.
 
 Gated by default: the engine benches, the streamed single-worker p95
 per-request latency (service_stream:t1:p95 — one worker keeps the series
-deterministic on any machine), the single-thread speculative-pipeline
-series (nearest_pair:t1 — the plain sequential path, so plan-cache and
-heap changes cannot regress 1-core hardware), and the single-thread
+deterministic on any machine), the single-thread nearest-pair selection
+loop (nearest_pair:t1 — so heap and NN-maintenance changes cannot
+regress 1-core hardware), and the single-thread
 sharded reduction (shard_reduce:t1 — auto shards on one thread, so the
 gate measures partition quality, not scheduling), and the salvage path
 of the resilience layer (degrade_salvage:salvage — recovering a faulted
@@ -25,12 +25,11 @@ the row includes a greedy shard rebuild), and the batched SoA plan
 kernels (plan_batch:t1 — solve_plan_batch replaying the nearest-pair
 reduce's accepted merge stream on one thread, so SoA layout or kernel
 changes cannot quietly give back the batching win).
-Multi-threaded service_batch / service_stream throughput, the
-speculative nearest_pair configurations, the fanned shard_reduce:thw
-series, the plan_batch scalar reference row and the degrade_salvage
-clean/discard rows are reported but not gated (batch scheduling,
-speculation overlap and shard fan-out depend on core count, not engine
-quality; the scalar row exists to compute the batch speedup).  Exit
+Multi-threaded service_batch / service_stream throughput, the fanned
+shard_reduce:thw series, the plan_batch scalar reference row and the
+degrade_salvage clean/discard rows are reported but not gated (batch
+scheduling and shard fan-out depend on core count, not engine quality;
+the scalar row exists to compute the batch speedup).  Exit
 codes: 0 ok, 1 regression, 2 usage/missing data.
 """
 
@@ -139,8 +138,8 @@ def main():
         print(f"{label} @ n={n}: baseline {b:.4f}s, current "
               f"{c:.4f}s (calibrated), ratio {ratio:.2f} -> {verdict}")
 
-    # Informational: serving throughput/latency and the speculative
-    # nearest_pair configurations, never gated here.
+    # Informational: serving throughput/latency and the reference rows of
+    # the gated series, never gated here.
     for key in sorted(cur):
         if key[0] in ("service_batch", "service_stream"):
             n = max(cur[key])
@@ -152,14 +151,6 @@ def main():
             print(f"info {key[0]}:{key[1]} @ n={n}: "
                   f"{r['seconds']:.4f}s, {r['merges_per_sec']:.0f} "
                   f"merges/s{extra}")
-        elif key[0] == "nearest_pair" and key[1] != "t1":
-            # t1 is the gated series and already printed above.
-            n = max(cur[key])
-            r = cur[key][n]
-            print(f"info {key[0]}:{key[1]} @ n={n}: "
-                  f"{r['seconds']:.4f}s, cache hit rate "
-                  f"{r.get('cache_hit_rate', 0):.2%}, wasted speculation "
-                  f"{r.get('wasted_spec_rate', 0):.2%}")
         elif key[0] == "degrade_salvage" and key[1] != "salvage":
             # clean / discard ride as info; the headline is the recovery
             # speedup of salvage over discard-and-rerun, and the salvaged
@@ -181,16 +172,14 @@ def main():
                   f"merges/s{extra}")
         elif key[0] == "plan_batch" and key[1] != "t1":
             # The scalar reference row rides as info; the headline is the
-            # batch-over-scalar speedup on the same merge stream, plus the
-            # batch row's fast-path engagement fraction.
+            # batch-over-scalar speedup on the same merge stream.
             n = max(cur[key])
             r = cur[key][n]
             extra = ""
             t1 = cur.get(("plan_batch", "t1"), {}).get(n)
             if t1 is not None and t1["seconds"] > 0:
                 extra += (f", batch speedup "
-                          f"{r['seconds'] / t1['seconds']:.2f}x, fast-path "
-                          f"{t1.get('cache_hit_rate', 0):.2%}")
+                          f"{r['seconds'] / t1['seconds']:.2f}x")
             print(f"info {key[0]}:{key[1]} @ n={n}: "
                   f"{r['seconds']:.4f}s, {r['merges_per_sec']:.0f} "
                   f"merges/s{extra}")

@@ -5,23 +5,19 @@
 //
 //   $ ./route_cli INSTANCE [--algo ast|zst|bst|sep] [--bound PS]
 //                 [--mode auto|windowed|exact|soft] [--threads N]
-//                 [--deadline MS] [--speculate K] [--no-plan-cache]
-//                 [--kernel scalar|batch] [--shards K|auto] [--retries N]
+//                 [--deadline MS] [--kernel scalar|batch]
+//                 [--shards K|auto] [--retries N]
 //                 [--degrade] [--fault-seed S] [--svg OUT.svg]
 //                 [--json OUT.json]
 //
 // --threads 0 (default) uses the hardware concurrency; multi-merge engine
 // rounds fan out across the pool, and results are bit-identical to
-// --threads 1.  --speculate K dispatches the top-K nearest-pair candidates'
-// plan() calls ahead of selection (needs >= 2 threads to engage;
-// bit-identical trees either way) and --no-plan-cache disables the
-// cross-step plan memo speculation lands in; the stats block reports the
-// cache and speculation counters.  --kernel selects the merge-plan solve
-// path (DESIGN.md §11): "batch" — the default — drains plan work through
-// the SoA batch kernels with scalar fallback for general-path lanes,
-// "scalar" pins the reference per-pair plan(); trees and every
-// pre-existing statistic are bit-identical either way, only wall-clock
-// and the kernel counters in the stats block move.  --shards K routes through the sharded
+// --threads 1.  --kernel selects the merge-plan solve path (DESIGN.md
+// §11): "batch" — the default — drains plan work through the SoA batch
+// kernels with scalar fallback for general-path lanes, "scalar" pins the
+// reference per-pair plan(); trees and every pre-existing statistic are
+// bit-identical either way, only wall-clock and the kernel counters in
+// the stats block move.  --shards K routes through the sharded
 // reduction (partition + parallel sub-reduce + associative stitch;
 // "auto" or 0 picks a count from the instance size and the thread pool,
 // 1 — the default — keeps the monolithic engine; ledger-backed AST modes
@@ -63,9 +59,7 @@ int usage(const char* argv0) {
               << " INSTANCE [--algo ast|zst|bst|sep] [--bound PS]\n"
                  "          [--mode auto|windowed|exact|soft]"
                  " [--threads N] [--deadline MS]\n"
-                 "          [--speculate K] [--no-plan-cache]"
-                 " [--kernel scalar|batch]\n"
-                 "          [--shards K|auto]\n"
+                 "          [--kernel scalar|batch] [--shards K|auto]\n"
                  "          [--retries N] [--degrade] [--fault-seed S]\n"
                  "          [--svg OUT.svg] [--json OUT.json]\n";
     return 2;
@@ -82,8 +76,6 @@ int main(int argc, char** argv) {
     double bound_ps = 10.0;
     int threads = 0;
     double deadline_ms = 0.0;  // <= 0: none
-    int speculate_k = 0;
-    bool plan_cache = true;
     core::plan_kernel kernel = core::plan_kernel::batch;
     int shards = 1;
     int retries = 1;
@@ -108,10 +100,6 @@ int main(int argc, char** argv) {
             threads = std::atoi(need("--threads"));
         else if (a == "--deadline")
             deadline_ms = std::atof(need("--deadline"));
-        else if (a == "--speculate")
-            speculate_k = std::atoi(need("--speculate"));
-        else if (a == "--no-plan-cache")
-            plan_cache = false;
         else if (a == "--kernel") {
             // Strict parse: a typo must not silently pick the other solve
             // path (the two are bit-identical, so a misspelling would only
@@ -171,8 +159,6 @@ int main(int argc, char** argv) {
 
     core::routing_request req;
     req.instance = &inst;
-    req.options.engine.speculate_k = speculate_k;
-    req.options.engine.plan_cache = plan_cache;
     req.options.engine.kernel = kernel;
     req.options.engine.shards = shards;
     const auto id = core::strategy_registry::global().id_of(algo);
@@ -238,17 +224,6 @@ int main(int argc, char** argv) {
               << route.stats.root_snakes << " snaked, "
               << route.stats.interior_snakes << " interior snakes)\n";
     const auto& st = route.stats;
-    const int plan_lookups = st.plan_cache_hits + st.plan_cache_misses;
-    std::cout << "  plan cache      : " << st.plan_cache_hits << " hits / "
-              << st.plan_cache_misses << " misses";
-    if (plan_lookups > 0)
-        std::cout << " ("
-                  << static_cast<int>(100.0 * st.plan_cache_hits /
-                                      plan_lookups)
-                  << "% hit rate)";
-    std::cout << "\n  speculation     : " << st.speculated_plans
-              << " dispatched, " << st.speculative_hits << " consumed, "
-              << st.wasted_speculation << " wasted\n";
     std::cout << "  kernel          : " << kernel_name << " ("
               << st.batch_planned << " batch-planned, "
               << st.kernel_fallbacks << " fallbacks, "

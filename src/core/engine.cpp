@@ -32,16 +32,6 @@ struct engine_scratch::impl {
         std::uint32_t gen;
     };
 
-    /// One speculative plan() job: a pair drained off the heap top, the
-    /// generation stamps taken at dispatch, and the slot its result is
-    /// written into (each job writes only its own slot — the determinism
-    /// rule of executor.hpp).
-    struct spec_job {
-        topo::node_id a, b;  ///< solve orientation: alpha goes to `a`
-        std::uint32_t gen_a, gen_b;
-        std::optional<merge_plan> plan;
-    };
-
     std::unordered_set<std::uint64_t> banned;
     /// id -> number of banned pairs the id participates in.  A pair can be
     /// banned only if *both* endpoints have nonzero degree, so the NN hot
@@ -50,7 +40,6 @@ struct engine_scratch::impl {
     /// ban_pair(); ids beyond the vector have degree zero by construction.
     std::vector<std::uint32_t> ban_deg;
     pair_cost_cache cost_cache;
-    plan_cache plans;  ///< generation-stamped cross-step plan memo
     std::vector<topo::node_id> nn_to;  ///< id -> current NN (knull: none)
     std::vector<double> nn_dist;       ///< id -> distance to nn_to
     std::vector<std::uint32_t> gen;    ///< id -> generation counter
@@ -58,21 +47,16 @@ struct engine_scratch::impl {
     std::unordered_set<topo::node_id> starved;    ///< all partners banned
     std::vector<sel_entry> heap;    ///< selection min-heap (4-ary, dary_heap)
     std::vector<rad_entry> radius;  ///< influence-radius max-heap (4-ary)
-    // Speculation buffers: the top-k entries drained for peeking and the
-    // plan jobs fanned out per step (reused across steps and runs).
-    std::vector<sel_entry> spec_peek;
-    std::vector<spec_job> spec_jobs;
     // Multi-merge round buffers (slot-indexed NN records, pre-solved plans).
     std::vector<std::pair<topo::node_id, double>> round_nn;
     std::vector<std::optional<merge_plan>> round_plans;
     // Batch-kernel buffers (engine_options::kernel == batch): the NN
     // gather scratch of the grid backend's batched queries, and the
-    // pair/result/fallback-count arrays the chunked solve_plan_batch
-    // dispatches write into (disjoint slots per chunk, so parallel
+    // pair/fallback-count arrays of the multi-merge rounds' chunked
+    // solve_plan_batch dispatches (disjoint slots per chunk, so parallel
     // chunks stay deterministic).
     nn_query_scratch nnq;
     std::vector<std::pair<topo::node_id, topo::node_id>> kernel_pairs;
-    std::vector<std::optional<merge_plan>> kernel_out;
     std::vector<int> kernel_fb;
     // Per-step work lists reused across the run (integrate's affected
     // roots, pop_cheapest's equal-key losers): both are cleared before
@@ -85,15 +69,11 @@ struct engine_scratch::impl {
         banned.clear();
         ban_deg.clear();
         cost_cache.clear();
-        plans.clear();
         starved.clear();
         heap.clear();
         radius.clear();
-        spec_peek.clear();
-        spec_jobs.clear();
         nnq.reset();
         kernel_pairs.clear();
-        kernel_out.clear();
         kernel_fb.clear();
         nn_to.assign(ids, topo::knull_node);
         nn_dist.assign(ids, 0.0);
@@ -242,12 +222,6 @@ class nearest_reducer {
                     topo::clock_tree& t, const std::vector<topo::node_id>& roots,
                     engine_stats& st, engine_scratch::impl& s)
         : solver_(solver), opt_(opt), t_(t), st_(st), s_(s), idx_(&t, roots),
-          // The plan cache (and with it speculation) requires ledger-free
-          // planning: ledger-backed plans read offsets that commits bind,
-          // so a memoised plan could go stale without a generation moving.
-          cache_on_(opt.plan_cache && solver.ledger() == nullptr),
-          spec_on_(cache_on_ && opt.speculate_k > 0 &&
-                   opt.executor != nullptr && opt.executor->concurrency() > 1),
           // The batch plan kernels' fast path requires ledger-free
           // planning (plan_kernels.hpp); a ledger-backed run would bounce
           // every lane anyway, so gate the plan dispatch off entirely and
@@ -268,10 +242,6 @@ class nearest_reducer {
         std::uint64_t audit_step = 0;
 #endif
         while (idx_.size() > 1) {
-            // The checkpoint precedes the speculative dispatch, so a fired
-            // token never fans out another plan batch; the batch below is a
-            // blocking parallel_for, so no plan() task can outlive the step
-            // that dispatched it — cancellation strands nothing.
             if (watched) {
                 if (const route_status rs =
                         opt_.cancel.poll_at(fault_site::selection, ++step);
@@ -281,7 +251,6 @@ class nearest_reducer {
 #ifdef ASTCLK_AUDIT
             audit_checkpoint(++audit_step);
 #endif
-            if (spec_on_) speculate();
             const auto popped = pop_cheapest();
             if (!popped.has_value()) {
                 forced_step();
@@ -289,11 +258,10 @@ class nearest_reducer {
             }
             const auto [key, dist, a, b, gen, cached] = *popped;
             (void)gen;
-            auto plan = obtain_plan(a, b);
+            auto plan = solve_one(a, b);
             if (!plan.has_value()) {
                 ban_pair(s_, a, b);
                 ++st_.rejected_pairs;
-                release_plans(a, b);  // terminal: banned pairs never return
                 recompute(a);
                 recompute(b);
                 continue;
@@ -302,22 +270,15 @@ class nearest_reducer {
                 plan->order_cost > key + kcost_slack) {
                 // Lazy re-key: the true cost (snaking and any deferral bias
                 // included) exceeds the distance bound — another pair may
-                // now be cheaper.  The solved plan is memoised here — the
-                // re-keyed re-pop is the only consumer of an inline solve
-                // (committed and banned pairs are released immediately), so
-                // this is the one store the sequential path needs.
+                // now be cheaper.  Only the cost is memoised: a re-keyed
+                // pair that wins again is simply re-solved.
                 s_.cost_cache.store(pair_key(a, b), plan->order_cost);
                 heap_push<sel_order>(
                     s_.heap, {plan->order_cost, dist, a, b, gen_at(a), true});
-                if (cache_on_)
-                    s_.plans.store(ordered_pair_key(a, b), gen_at(a),
-                                   gen_at(b), /*speculative=*/false,
-                                   std::move(plan));
                 continue;
             }
             const topo::node_id c = solver_.commit(t_, a, b, *plan);
             note_plan(*plan, dist, st_);
-            release_plans(a, b);  // terminal: merged roots leave the set
             integrate(a, b, c);
         }
         finalize_stats();
@@ -340,10 +301,10 @@ class nearest_reducer {
 
 #ifdef ASTCLK_AUDIT
     /// Audit-build hook riding the selection checkpoint (DESIGN.md §12):
-    /// cheap structural checks every step — both scratch heaps ordered,
-    /// the stats books internally consistent, no plan-cache entry stamped
-    /// from the future — and the full grid-vs-live-set cross-check (which
-    /// walks every cell) every 64th step and on the first.
+    /// cheap structural checks every step — both scratch heaps ordered and
+    /// the stats books internally consistent — and the full
+    /// grid-vs-live-set cross-check (which walks every cell) every 64th
+    /// step and on the first.
     void audit_checkpoint(std::uint64_t step) {
         audit::checkpoint("selection/heap",
                           audit::verify_heap_invariant<sel_order>(s_.heap));
@@ -351,9 +312,6 @@ class nearest_reducer {
             "selection/radius",
             audit::verify_heap_invariant<rad_order>(s_.radius));
         audit::checkpoint("selection/stats", audit::verify_stats_books(st_));
-        audit::checkpoint(
-            "selection/plan-cache",
-            audit::verify_plan_cache_generations(s_.plans, s_.gen));
         if constexpr (std::is_same_v<Index, grid_index>) {
             if (step % 64 == 1) {
                 audit::checkpoint("selection/grid",
@@ -368,10 +326,9 @@ class nearest_reducer {
 #endif
 
 
-    /// Close the speculation books (wasted = dispatched − consumed); runs
-    /// once per reduce, at the normal end and before an interrupt unwinds.
+    /// Fold the run's NN scratch reuses into the stats; runs once per
+    /// reduce, at the normal end and before an interrupt unwinds.
     void finalize_stats() {
-        st_.wasted_speculation = st_.speculated_plans - st_.speculative_hits;
         st_.nn_scratch_reuses += s_.nnq.reuses;
     }
 
@@ -391,119 +348,6 @@ class nearest_reducer {
     [[noreturn]] void interrupt(route_status rs) {
         finalize_stats();
         throw route_interrupt(rs, st_);
-    }
-
-    /// Drop both orientations of a pair from the plan memo — called at the
-    /// pair's terminal event (commit or ban), after which it can never be
-    /// proposed again.  Keeps the memo's live population proportional to
-    /// the speculation in flight (wasted speculative entries for still-
-    /// active pairs linger until their own terminal event or run end)
-    /// rather than to the total merge count.
-    void release_plans(topo::node_id a, topo::node_id b) {
-        if (!cache_on_) return;
-        s_.plans.erase(ordered_pair_key(a, b));
-        s_.plans.erase(ordered_pair_key(b, a));
-    }
-
-    /// The plan for (a, b): served from the generation-stamped memo when
-    /// the stamps still match (speculative results and re-keyed survivors),
-    /// solved inline otherwise.  Inline solves are *not* stored here — a
-    /// popped pair either commits, gets banned (both terminal) or re-keys,
-    /// and only the re-key path can consult the memo again, so run() stores
-    /// exactly there and the hot loop skips a store+erase round trip per
-    /// merge.  Bit-identical to a direct plan() call: ledger-free plans
-    /// depend only on the two subtrees, which are immutable while both
-    /// roots are active, and stale stamps fall back to the inline solve.
-    std::optional<merge_plan> obtain_plan(topo::node_id a, topo::node_id b) {
-        if (!cache_on_) return solve_one(a, b);
-        const std::uint64_t key = ordered_pair_key(a, b);
-        if (plan_cache::entry* e = s_.plans.find(key, gen_at(a), gen_at(b))) {
-            ++st_.plan_cache_hits;
-            if (e->speculative && !e->consumed) ++st_.speculative_hits;
-            e->consumed = true;
-            return e->plan;  // copied: a re-keyed pair consults it twice
-        }
-        ++st_.plan_cache_misses;
-        return solve_one(a, b);
-    }
-
-    /// Speculative top-k planning: drain the k cheapest *live* entries off
-    /// the selection heap (an exact peek — stale entries met on the way
-    /// are dropped, which selection would do anyway), push them straight
-    /// back, and fan the plan() calls of every distinct pair that lacks a
-    /// live memo entry out over the executor.  The heap's multiset of live
-    /// entries is untouched and each job writes only its own slot, so the
-    /// subsequent pops — and therefore trees, stats and tie-breaks — are
-    /// bit-identical to the sequential engine; the only effect is that the
-    /// pops' obtain_plan() calls hit the memo instead of solving inline.
-    void speculate() {
-        auto& peek = s_.spec_peek;
-        auto& jobs = s_.spec_jobs;
-        peek.clear();
-        jobs.clear();
-        const auto k = static_cast<std::size_t>(opt_.speculate_k);
-        while (peek.size() < k && !s_.heap.empty()) {
-            const sel_entry e = s_.heap.front();
-            heap_pop<sel_order>(s_.heap);
-            if (e.gen != gen_at(e.a)) continue;  // stale: drop for good
-            peek.push_back(e);
-        }
-        for (const sel_entry& e : peek) heap_push<sel_order>(s_.heap, e);
-        for (const sel_entry& e : peek) {
-            // Jobs are keyed and solved in the entry's own (a, b)
-            // orientation — exactly the call the pop would make — because
-            // plans are orientation-sensitive (alpha goes to the first
-            // root); when both orientations of one pair are live, each
-            // gets its own entry.
-            const std::uint64_t key = ordered_pair_key(e.a, e.b);
-            if (s_.plans.find(key, gen_at(e.a), gen_at(e.b)) != nullptr)
-                continue;
-            bool queued = false;
-            for (const auto& j : jobs)
-                queued = queued || ordered_pair_key(j.a, j.b) == key;
-            if (queued) continue;
-            jobs.push_back({e.a, e.b, gen_at(e.a), gen_at(e.b),
-                            std::nullopt});
-        }
-        if (jobs.empty()) return;
-        if (batch_on_) {
-            // Chunked batch dispatch: each worker solves a kplan_lanes
-            // chunk of the job list via the SoA kernels, writing plans and
-            // its own fallback count into disjoint slots — deterministic
-            // regardless of schedule, and each chunk amortises the kernel
-            // over several lanes instead of going pair-at-a-time.
-            auto& pairs = s_.kernel_pairs;
-            auto& outs = s_.kernel_out;
-            auto& fb = s_.kernel_fb;
-            pairs.resize(jobs.size());
-            outs.assign(jobs.size(), std::nullopt);
-            for (std::size_t i = 0; i < jobs.size(); ++i)
-                pairs[i] = {jobs[i].a, jobs[i].b};
-            const std::size_t chunks =
-                (jobs.size() + kplan_lanes - 1) / kplan_lanes;
-            fb.assign(chunks, 0);
-            run_indexed(opt_.executor, chunks, [&](std::size_t c) {
-                const std::size_t lo = c * kplan_lanes;
-                const std::size_t n = std::min(kplan_lanes, jobs.size() - lo);
-                fb[c] = solve_plan_batch(solver_, t_, pairs.data() + lo, n,
-                                         outs.data() + lo);
-            });
-            for (std::size_t i = 0; i < jobs.size(); ++i)
-                jobs[i].plan = std::move(outs[i]);
-            int total_fb = 0;
-            for (const int f : fb) total_fb += f;
-            st_.kernel_fallbacks += total_fb;
-            st_.batch_planned += static_cast<int>(jobs.size()) - total_fb;
-        } else {
-            run_indexed(opt_.executor, jobs.size(), [&](std::size_t i) {
-                jobs[i].plan = solver_.plan(t_, jobs[i].a, jobs[i].b);
-            });
-        }
-        for (auto& j : jobs) {
-            s_.plans.store(ordered_pair_key(j.a, j.b), j.gen_a, j.gen_b,
-                           /*speculative=*/true, std::move(j.plan));
-            ++st_.speculated_plans;
-        }
     }
 
     /// Point i's nearest-neighbour record at (j, d); maintains the reverse
@@ -748,8 +592,6 @@ class nearest_reducer {
     engine_stats& st_;
     engine_scratch::impl& s_;
     Index idx_;
-    const bool cache_on_;  ///< plan memo enabled (knob on, ledger-free)
-    const bool spec_on_;   ///< top-k dispatch enabled (memo + wide executor)
     const bool batch_on_;  ///< SoA plan kernels (knob on, ledger-free)
     const bool nn_batch_;  ///< batched NN queries and bounded fold-in
 };
@@ -815,7 +657,7 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
         }
 #ifdef ASTCLK_AUDIT
         // Round checkpoint: the multi-merge path keeps no selection heap
-        // or plan memo, so the books are the auditable state here.
+        // to audit, so the books are the auditable state here.
         audit::checkpoint("round/stats", audit::verify_stats_books(st));
 #endif
         ++st.rounds;

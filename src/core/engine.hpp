@@ -34,15 +34,6 @@
 ///     roots within the current nearest-neighbour influence radius — no
 ///     global recompute, in the forced-merge path included.
 ///
-/// The nearest-pair reduction additionally supports a *speculative
-/// pipeline* (DESIGN.md §3): each selection step drains the top-k live
-/// heap candidates, fans their plan() calls out over the executor before
-/// the pop, and memoises the results in a generation-stamped plan cache
-/// (merge_solver.hpp) so the subsequent pops commit from cached plans.
-/// Results are bit-identical to the sequential engine by construction —
-/// speculation only ever pre-computes plans the inline path would compute
-/// itself, and a stale stamp falls back to an inline solve.
-///
 /// Pairs whose merge is infeasible (irreconcilable multi-group conflicts,
 /// Ch. V-E) are banned and re-proposed only if nothing else remains, in
 /// which case a forced minimax merge keeps the algorithm total.
@@ -90,8 +81,8 @@ struct engine_options {
     /// probes, and on the grid backend the batched gather/distance
     /// kernels over reusable scratch plus the bounded fold-in walk
     /// (DESIGN.md §2).  Trees and every pre-existing statistic are
-    /// bit-identical to `scalar` across backends, thread counts,
-    /// speculate_k and shard counts; only wall-clock and the kernel
+    /// bit-identical to `scalar` across backends, thread counts and
+    /// shard counts; only wall-clock and the kernel
     /// counters below (batch_planned, kernel_fallbacks,
     /// nn_scratch_reuses) move.  Ledger-backed solvers keep scalar plan
     /// solves (their plans read offsets that commits bind, so no lane
@@ -105,27 +96,6 @@ struct engine_options {
     /// earlier commits of the same round bind).  The commit step is always
     /// sequential, so trees are bit-identical to single-threaded runs.
     task_executor* executor = nullptr;
-    /// Speculative top-k planning for the nearest-pair order: each
-    /// selection step peeks the k cheapest live heap candidates and fans
-    /// their plan() calls out over `executor` before the pop, keyed by
-    /// (pair, gen[a], gen[b]) in the plan cache; pops then commit from the
-    /// memoised plans, falling back to an inline solve on a stale stamp.
-    /// 0 disables speculation.  Only active with an executor of
-    /// concurrency > 1, a ledger-free solver (ledger-backed plans read
-    /// offsets that commits bind) and `plan_cache` on; trees and the
-    /// merge/rejection/forced statistics are bit-identical either way —
-    /// the knob moves wall-clock plus the cache/speculation counters
-    /// below, nothing else.
-    int speculate_k = 0;
-    /// Cross-step plan cache: memoise solved plans stamped with both
-    /// roots' selection generations, so re-keyed survivors commit from the
-    /// memo instead of being re-solved (and speculative results have a
-    /// place to land).  Entries are dropped at their pair's commit or ban,
-    /// so the memo tracks in-flight work, not total merges.  Disabled
-    /// internally for ledger-backed solvers.  Trees and merge statistics
-    /// are bit-identical on or off; hit/miss counters land in
-    /// engine_stats.
-    bool plan_cache = true;
     /// Sharded reduction (DESIGN.md §4): split the initial roots into
     /// spatial shards, sub-reduce each independently (fanned over
     /// `executor` when present), then stitch the shard roots with the
@@ -154,6 +124,9 @@ struct engine_options {
     /// route_status::degraded instead of discarding all work.  Only the
     /// sharded driver honors it; an explicit cancel() always discards.
     bool salvage = false;
+    /// Kept only so the frozen perfbench harness compiles; remove with the
+    /// next benchmark PR.
+    int speculate_k = 0;
 };
 
 struct engine_stats {
@@ -168,13 +141,6 @@ struct engine_stats {
     int forced_merges = 0;        ///< minimax fallbacks (should stay 0)
     double worst_violation = 0.0; ///< residual skew excess of forced merges
     int rounds = 0;               ///< multi-merge rounds (if enabled)
-    // Plan-cache / speculation accounting (nearest-pair order only; all
-    // zero when the cache is off or the solver carries a ledger).
-    int plan_cache_hits = 0;      ///< selections served from the memo
-    int plan_cache_misses = 0;    ///< selections that solved inline
-    int speculated_plans = 0;     ///< plans dispatched ahead of selection
-    int speculative_hits = 0;     ///< speculated plans later consumed
-    int wasted_speculation = 0;   ///< speculated plans never consumed
     // Batch-kernel accounting (engine_options::kernel == batch only; all
     // zero under the scalar kernel).  Excluded from the bit-identity
     // contract — they describe *how* plans were solved, not what was
@@ -190,6 +156,9 @@ struct engine_stats {
     /// block with `accumulate` — each shard writes its own block, so the
     /// sums are exact even when a cancellation unwinds mid-shard.
     int shards = 0;
+    /// Kept only so the frozen perfbench harness compiles; remove with the
+    /// next benchmark PR.
+    static constexpr int plan_cache_hits = 0, plan_cache_misses = 0;
 
     /// Fold another stats block into this one (per-shard bookkeeping of
     /// the sharded reduction; every additive counter sums, the violation
@@ -206,11 +175,6 @@ struct engine_stats {
         forced_merges += o.forced_merges;
         worst_violation = std::max(worst_violation, o.worst_violation);
         rounds += o.rounds;
-        plan_cache_hits += o.plan_cache_hits;
-        plan_cache_misses += o.plan_cache_misses;
-        speculated_plans += o.speculated_plans;
-        speculative_hits += o.speculative_hits;
-        wasted_speculation += o.wasted_speculation;
         batch_planned += o.batch_planned;
         kernel_fallbacks += o.kernel_fallbacks;
         nn_scratch_reuses += o.nn_scratch_reuses;
@@ -224,7 +188,7 @@ struct engine_stats {
 /// accumulate() above — lint.py cross-checks the field list against the
 /// fold — and the expected size here is updated.  Counters must never be
 /// able to dodge the shard/service accounting silently.
-static_assert(sizeof(engine_stats) == 96,
+static_assert(sizeof(engine_stats) == 80,
               "engine_stats changed: fold the new field in accumulate(), "
               "add it to the tools/lint.py field list check, then update "
               "this size lock");

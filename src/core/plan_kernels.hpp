@@ -7,8 +7,7 @@
 /// After the selection, service and sharding layers went sub-quadratic,
 /// the per-pair `plan()` solve and the nearest-neighbour distance scans
 /// dominate the profile — and both are already *dispatched in batches*
-/// (speculative top-k fan-out, multi-merge round planning, grid ring
-/// expansion), which is exactly the shape data-parallel kernels want.
+/// (multi-merge round planning, grid ring expansion), which is exactly the shape data-parallel kernels want.
 /// This layer solves 4-8 independent merge plans per call from one
 /// instruction stream:
 ///
@@ -44,7 +43,7 @@
 /// (interior-snake repair or rejection), ledger-backed modes — falls
 /// back to the scalar `plan()` verbatim.  Trees and engine statistics
 /// are therefore bit-identical to `plan_kernel::scalar` across NN
-/// backends, thread counts, speculate_k and shard counts; only
+/// backends, thread counts and shard counts; only
 /// wall-clock and the kernel counters (`engine_stats::batch_planned`,
 /// `kernel_fallbacks`, `nn_scratch_reuses`) move.
 ///
@@ -69,9 +68,8 @@ enum class plan_kernel {
     batch,   ///< SoA batch kernels with scalar fallback (this file)
 };
 
-/// The dispatch grain of the batch layer: callers (the engine's
-/// speculative drain, the shard planner) hand work to the executor in
-/// chunks of this many plans.  Eight double lanes fill two AVX2 (or one
+/// The dispatch grain of the batch layer: callers (the multi-merge
+/// rounds) hand work to the executor in chunks of this many plans.  Eight double lanes fill two AVX2 (or one
 /// AVX-512) vector registers; the remainder loop handles short batches
 /// exactly.
 inline constexpr std::size_t kplan_lanes = 8;

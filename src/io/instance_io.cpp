@@ -1,5 +1,7 @@
 #include "io/instance_io.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -56,7 +58,8 @@ topo::instance read_instance(std::istream& is) {
     if (!next_line(is, line, line_no) || line.rfind("astclk-instance", 0) != 0)
         parse_error(line_no, "missing 'astclk-instance' header");
 
-    std::size_t n_sinks = 0;
+    long long n_sinks = 0;
+    bool have_die = false;
     bool have_sinks = false;
     while (!have_sinks) {
         if (!next_line(is, line, line_no))
@@ -67,30 +70,48 @@ topo::instance read_instance(std::istream& is) {
         if (key == "name") {
             ls >> inst.name;
         } else if (key == "die") {
-            if (!(ls >> inst.die_width >> inst.die_height))
+            if (!(ls >> inst.die_width >> inst.die_height) ||
+                !std::isfinite(inst.die_width) ||
+                !std::isfinite(inst.die_height) || inst.die_width < 0.0 ||
+                inst.die_height < 0.0)
                 parse_error(line_no, "bad die line");
+            have_die = true;
         } else if (key == "source") {
-            if (!(ls >> inst.source.x >> inst.source.y))
+            if (!(ls >> inst.source.x >> inst.source.y) ||
+                !std::isfinite(inst.source.x) || !std::isfinite(inst.source.y))
                 parse_error(line_no, "bad source line");
         } else if (key == "groups") {
             if (!(ls >> inst.num_groups))
                 parse_error(line_no, "bad groups line");
         } else if (key == "sinks") {
-            if (!(ls >> n_sinks)) parse_error(line_no, "bad sinks line");
+            // Signed, so "-1" is rejected instead of wrapping to a huge
+            // unsigned count; trailing garbage is rejected too.
+            if (!(ls >> n_sinks) || n_sinks < 0 || !(ls >> std::ws).eof())
+                parse_error(line_no, "bad sinks line");
             have_sinks = true;
         } else {
             parse_error(line_no, "unknown header key '" + key + "'");
         }
     }
 
-    inst.sinks.reserve(n_sinks);
-    for (std::size_t i = 0; i < n_sinks; ++i) {
+    // The declared count is untrusted: reserve at most a bounded prefix
+    // and let push_back grow past it, so a huge count fails on the
+    // missing sink lines instead of on the allocation.
+    constexpr long long kmax_reserve = 1 << 16;
+    inst.sinks.reserve(
+        static_cast<std::size_t>(std::min(n_sinks, kmax_reserve)));
+    for (long long i = 0; i < n_sinks; ++i) {
         if (!next_line(is, line, line_no))
             parse_error(line_no, "expected more sink lines");
         std::istringstream ls(line);
         topo::sink s;
-        if (!(ls >> s.loc.x >> s.loc.y >> s.cap >> s.group))
+        if (!(ls >> s.loc.x >> s.loc.y >> s.cap >> s.group) ||
+            !std::isfinite(s.loc.x) || !std::isfinite(s.loc.y) ||
+            !std::isfinite(s.cap))
             parse_error(line_no, "bad sink line");
+        if (have_die && (s.loc.x < 0.0 || s.loc.x > inst.die_width ||
+                         s.loc.y < 0.0 || s.loc.y > inst.die_height))
+            parse_error(line_no, "sink outside the declared die");
         inst.sinks.push_back(s);
     }
     const std::string problem = inst.validate();

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace astclk::io {
 namespace {
@@ -64,6 +66,79 @@ TEST(InstanceIo, RejectsInvalidInstance) {
 TEST(InstanceIo, RejectsUnknownHeaderKey) {
     std::stringstream ss("astclk-instance v1\nfrobnicate 3\n");
     EXPECT_THROW(read_instance(ss), std::runtime_error);
+}
+
+/// Parse `text` and return the parse_error message; any other outcome —
+/// success, or an exception that is not std::runtime_error (bad_alloc,
+/// length_error) — fails the calling test.
+std::string parse_failure(const std::string& text) {
+    std::stringstream ss(text);
+    try {
+        (void)read_instance(ss);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-parse exception: " << e.what();
+        return {};
+    }
+    ADD_FAILURE() << "hostile instance was accepted";
+    return {};
+}
+
+constexpr const char* khostile_header =
+    "astclk-instance v1\nname t\ndie 100 100\nsource 50 50\ngroups 1\n";
+
+TEST(InstanceIo, RejectsNegativeOrMalformedSinkCount) {
+    std::string msg = parse_failure(std::string(khostile_header) +
+                                    "sinks -1\n1 1 1e-15 0\n");
+    EXPECT_NE(msg.find("line 6: bad sinks line"), std::string::npos) << msg;
+    msg = parse_failure(std::string(khostile_header) +
+                        "sinks 2x\n1 1 1e-15 0\n");
+    EXPECT_NE(msg.find("line 6: bad sinks line"), std::string::npos) << msg;
+}
+
+TEST(InstanceIo, HugeSinkCountFailsOnMissingLinesNotAllocation) {
+    const std::string msg = parse_failure(std::string(khostile_header) +
+                                          "sinks 2000000000\n1 1 1e-15 0\n");
+    EXPECT_NE(msg.find("line 7: expected more sink lines"),
+              std::string::npos)
+        << msg;
+}
+
+TEST(InstanceIo, RejectsSinksOutsideTheDieOrNonFinite) {
+    std::string msg = parse_failure(std::string(khostile_header) +
+                                    "sinks 2\n1 1 1e-15 0\n1e300 5 1e-15 0\n");
+    EXPECT_NE(msg.find("line 8: sink outside the declared die"),
+              std::string::npos)
+        << msg;
+    msg = parse_failure(std::string(khostile_header) +
+                        "sinks 1\n-0.5 5 1e-15 0\n");
+    EXPECT_NE(msg.find("line 7: sink outside the declared die"),
+              std::string::npos)
+        << msg;
+    msg = parse_failure(std::string(khostile_header) +
+                        "sinks 1\nnan 5 1e-15 0\n");
+    EXPECT_NE(msg.find("line 7: bad sink line"), std::string::npos) << msg;
+    msg = parse_failure(std::string(khostile_header) +
+                        "sinks 1\n5 1e999 1e-15 0\n");
+    EXPECT_NE(msg.find("line 7: bad sink line"), std::string::npos) << msg;
+}
+
+TEST(InstanceIo, DieCheckAcceptsEveryGeneratedBenchmark) {
+    // Generated sinks lie in [0, die] (clustered ones are clamped onto the
+    // edge), and the writer's full precision round-trips them exactly.
+    for (const char* name : {"r1", "r2", "r3", "r4", "r5", "l1", "l2", "l3"}) {
+        auto inst = gen::generate(name[0] == 'l' ? gen::large_spec(name)
+                                                 : gen::paper_spec(name));
+        gen::apply_clustered_groups(inst, 8);
+        std::stringstream ss;
+        write_instance(ss, inst);
+        topo::instance back;
+        ASSERT_NO_THROW(back = read_instance(ss)) << name;
+        ASSERT_EQ(back.sinks.size(), inst.sinks.size()) << name;
+        for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+            ASSERT_EQ(back.sinks[i], inst.sinks[i]) << name << " sink " << i;
+    }
 }
 
 TEST(Svg, RendersRoutedTree) {

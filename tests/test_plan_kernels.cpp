@@ -6,8 +6,7 @@
 //
 //  * full identity matrix on r1–r3: batch vs scalar at the *same*
 //    configuration for both NN backends x threads {1, 2, hw} x
-//    speculate_k {0, 8} x shards {1, 4} — trees and stats compared
-//    field by field;
+//    shards {1, 4} — trees and stats compared field by field;
 //  * a reduced slice of the same identity on r4–r5 (the large paper
 //    instances) so the contract is exercised at scale without blowing
 //    up suite runtime;
@@ -56,14 +55,13 @@ topo::instance paper_instance(const char* name, int groups) {
 }
 
 routing_request kernel_request(const topo::instance& inst, plan_kernel k,
-                              nn_backend be, int speculate, int shards) {
+                              nn_backend be, int shards) {
     routing_request r;
     r.instance = &inst;
     r.strategy = strategy_id::ast_dme;
     r.mode = ast_mode::windowed;
     r.options.engine.kernel = k;
     r.options.engine.backend = be;
-    r.options.engine.speculate_k = speculate;
     r.options.engine.shards = shards;
     return r;
 }
@@ -88,11 +86,6 @@ void expect_identical(const route_result& got, const route_result& ref,
     EXPECT_EQ(g.forced_merges, r.forced_merges) << what;
     EXPECT_EQ(g.worst_violation, r.worst_violation) << what;
     EXPECT_EQ(g.rounds, r.rounds) << what;
-    EXPECT_EQ(g.plan_cache_hits, r.plan_cache_hits) << what;
-    EXPECT_EQ(g.plan_cache_misses, r.plan_cache_misses) << what;
-    EXPECT_EQ(g.speculated_plans, r.speculated_plans) << what;
-    EXPECT_EQ(g.speculative_hits, r.speculative_hits) << what;
-    EXPECT_EQ(g.wasted_speculation, r.wasted_speculation) << what;
     EXPECT_EQ(g.shards, r.shards) << what;
     ASSERT_EQ(got.tree.size(), ref.tree.size()) << what;
     for (std::size_t i = 0; i < got.tree.size(); ++i) {
@@ -123,26 +116,20 @@ TEST(PlanKernels, BatchBitIdenticalAcrossFullMatrix) {
     for (const char* name : {"r1", "r2", "r3"}) {
         const auto inst = paper_instance(name, 6);
         for (const nn_backend be : {nn_backend::grid, nn_backend::linear}) {
-            for (const int spec_k : {0, 8}) {
-                for (const int shards : {1, 4}) {
-                    for (const int threads : {1, 2, hw}) {
-                        const auto ref = run_with_threads(
-                            kernel_request(inst, plan_kernel::scalar, be,
-                                           spec_k, shards),
-                            threads);
-                        const auto got = run_with_threads(
-                            kernel_request(inst, plan_kernel::batch, be,
-                                           spec_k, shards),
-                            threads);
-                        expect_identical(
-                            got, ref,
-                            std::string(name) +
-                                (be == nn_backend::grid ? " grid" :
-                                                          " linear") +
-                                " spec=" + std::to_string(spec_k) +
-                                " shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads));
-                    }
+            for (const int shards : {1, 4}) {
+                for (const int threads : {1, 2, hw}) {
+                    const auto ref = run_with_threads(
+                        kernel_request(inst, plan_kernel::scalar, be, shards),
+                        threads);
+                    const auto got = run_with_threads(
+                        kernel_request(inst, plan_kernel::batch, be, shards),
+                        threads);
+                    expect_identical(
+                        got, ref,
+                        std::string(name) +
+                            (be == nn_backend::grid ? " grid" : " linear") +
+                            " shards=" + std::to_string(shards) +
+                            " threads=" + std::to_string(threads));
                 }
             }
         }
@@ -155,10 +142,10 @@ TEST(PlanKernels, BatchBitIdenticalOnLargeInstancesSlice) {
     for (const char* name : {"r4", "r5"}) {
         const auto inst = paper_instance(name, 8);
         const auto ref = run_with_threads(
-            kernel_request(inst, plan_kernel::scalar, nn_backend::grid, 8, 4),
+            kernel_request(inst, plan_kernel::scalar, nn_backend::grid, 4),
             2);
         const auto got = run_with_threads(
-            kernel_request(inst, plan_kernel::batch, nn_backend::grid, 8, 4),
+            kernel_request(inst, plan_kernel::batch, nn_backend::grid, 4),
             2);
         expect_identical(got, ref, std::string(name) + " slice");
     }
@@ -168,7 +155,7 @@ TEST(PlanKernels, MultiMergeRoundPlanningBitIdentical) {
     const auto inst = paper_instance("r2", 6);
     for (const int threads : {1, 2}) {
         auto scalar_req = kernel_request(inst, plan_kernel::scalar,
-                                         nn_backend::grid, 0, 1);
+                                         nn_backend::grid, 1);
         scalar_req.options.engine.order = merge_order::multi_merge;
         auto batch_req = scalar_req;
         batch_req.options.engine.kernel = plan_kernel::batch;
@@ -304,7 +291,7 @@ TEST(PlanKernels, KernelCountersBookWhoSolvedWhat) {
     // Scalar kernel: no batch dispatch anywhere, so all three counters
     // stay zero.
     const auto scalar = route(kernel_request(
-        inst, plan_kernel::scalar, nn_backend::grid, 0, 1));
+        inst, plan_kernel::scalar, nn_backend::grid, 1));
     ASSERT_TRUE(scalar.ok());
     EXPECT_EQ(scalar.stats.batch_planned, 0);
     EXPECT_EQ(scalar.stats.kernel_fallbacks, 0);
@@ -313,7 +300,7 @@ TEST(PlanKernels, KernelCountersBookWhoSolvedWhat) {
     // Batch kernel on the grid backend: the fast path solves plans, and
     // the ring-expansion gathers find warm scratch after the first query.
     const auto batch = route(kernel_request(
-        inst, plan_kernel::batch, nn_backend::grid, 0, 1));
+        inst, plan_kernel::batch, nn_backend::grid, 1));
     ASSERT_TRUE(batch.ok());
     EXPECT_GT(batch.stats.batch_planned, 0);
     // Every accepted merge was solved by exactly one of the two paths.
@@ -323,7 +310,7 @@ TEST(PlanKernels, KernelCountersBookWhoSolvedWhat) {
 
     // The linear backend never touches the gather scratch.
     const auto linear = route(kernel_request(
-        inst, plan_kernel::batch, nn_backend::linear, 0, 1));
+        inst, plan_kernel::batch, nn_backend::linear, 1));
     ASSERT_TRUE(linear.ok());
     EXPECT_GT(linear.stats.batch_planned, 0);
     EXPECT_EQ(linear.stats.nn_scratch_reuses, 0);
@@ -334,7 +321,7 @@ TEST(PlanKernels, KernelCountersBookWhoSolvedWhat) {
 TEST(PlanKernels, SoftLedgerRouteGatesBatchOffAndStaysIdentical) {
     const auto inst = paper_instance("r2", 6);
     auto scalar_req = kernel_request(inst, plan_kernel::scalar,
-                                     nn_backend::grid, 0, 1);
+                                     nn_backend::grid, 1);
     scalar_req.mode = ast_mode::soft_ledger;
     auto batch_req = scalar_req;
     batch_req.options.engine.kernel = plan_kernel::batch;
@@ -354,7 +341,7 @@ TEST(PlanKernels, SoftLedgerRouteGatesBatchOffAndStaysIdentical) {
 void expect_ledger_batch_identical(const topo::instance& inst, ast_mode mode,
                                    double bound, nn_backend be,
                                    const std::string& what) {
-    auto scalar_req = kernel_request(inst, plan_kernel::scalar, be, 0, 1);
+    auto scalar_req = kernel_request(inst, plan_kernel::scalar, be, 1);
     scalar_req.mode = mode;
     scalar_req.spec =
         bound == 0.0 ? skew_spec::zero() : skew_spec::uniform(bound);

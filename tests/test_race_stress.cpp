@@ -1,14 +1,14 @@
 // Race-stress suite (DESIGN.md §12): the workload the TSan configuration
 // (-DASTCLK_SANITIZE=thread) exists for.  Small instances are routed
 // through every concurrent path at once — the service's worker pool, the
-// speculative plan() fan-out, the sharded sub-reduce fan-out, concurrent
-// cancellation and deterministic fault injection — so a data race in any
+// sharded sub-reduce fan-out, concurrent cancellation and deterministic
+// fault injection — so a data race in any
 // of the synchronization layers has maximal opportunity to surface under
 // the race detector.
 //
 // The suite runs (cheaply) in the plain configuration too, where it
-// doubles as a determinism matrix: whatever the thread count, speculation
-// depth or submission interleaving, every completed tree must be
+// doubles as a determinism matrix: whatever the thread count or
+// submission interleaving, every completed tree must be
 // bit-identical to the sequential reference for its shard count.
 
 #include "core/route_service.hpp"
@@ -33,16 +33,13 @@ topo::instance stress_instance(int n, int groups, std::uint64_t seed) {
     return inst;
 }
 
-routing_request make_request(const topo::instance& inst, int speculate_k,
-                             int shards) {
+routing_request make_request(const topo::instance& inst, int shards) {
     routing_request r;
     r.instance = &inst;
     r.strategy = strategy_id::ast_dme;
-    // Windowed mode keeps the solver ledger-free: the plan cache,
-    // speculation and sharding (the fan-outs this suite stresses) all
-    // disable themselves behind a ledger.
+    // Windowed mode keeps the solver ledger-free: sharding (the fan-out
+    // this suite stresses) disables itself behind a ledger.
     r.mode = ast_mode::windowed;
-    r.options.engine.speculate_k = speculate_k;
     r.options.engine.shards = shards;
     return r;
 }
@@ -66,14 +63,13 @@ void expect_same_tree(const route_result& got, const route_result& ref,
 }
 
 /// Every fan-out at once: for each worker count, one service routes the
-/// full {speculate_k} × {shards} matrix over two instances concurrently,
+/// full {shards} matrix over two instances concurrently,
 /// and each completion must be bit-identical to the sequential reference
 /// of its (instance, shard count) cell.
 TEST(RaceStress, ConcurrentMatrixIsBitIdentical) {
     const auto small = stress_instance(40, 4, 7);
     const auto medium = stress_instance(72, 4, 11);
     const std::vector<const topo::instance*> instances{&small, &medium};
-    const int spec_ks[] = {0, 4};
     const int shard_counts[] = {1, 4};
 
     // Sequential references, one per (instance, shard count).
@@ -81,7 +77,7 @@ TEST(RaceStress, ConcurrentMatrixIsBitIdentical) {
     for (int ii = 0; ii < 2; ++ii)
         for (int si = 0; si < 2; ++si) {
             refs[ii][si] =
-                route(make_request(*instances[ii], 0, shard_counts[si]));
+                route(make_request(*instances[ii], shard_counts[si]));
             ASSERT_TRUE(refs[ii][si].ok()) << refs[ii][si].status_message;
         }
 
@@ -97,20 +93,18 @@ TEST(RaceStress, ConcurrentMatrixIsBitIdentical) {
         std::vector<pending> inflight;
         for (int rep = 0; rep < 2; ++rep)
             for (int ii = 0; ii < 2; ++ii)
-                for (const int k : spec_ks)
-                    for (int si = 0; si < 2; ++si) {
-                        submit_options so;
-                        so.priority = rep;  // exercise the priority queue
-                        inflight.push_back(
-                            {svc.submit(make_request(*instances[ii], k,
-                                                     shard_counts[si]),
-                                        so),
-                             ii, si,
-                             "threads=" + std::to_string(threads) +
-                                 " inst=" + std::to_string(ii) +
-                                 " k=" + std::to_string(k) + " shards=" +
-                                 std::to_string(shard_counts[si])});
-                    }
+                for (int si = 0; si < 2; ++si) {
+                    submit_options so;
+                    so.priority = rep;  // exercise the priority queue
+                    inflight.push_back(
+                        {svc.submit(make_request(*instances[ii],
+                                                 shard_counts[si]),
+                                    so),
+                         ii, si,
+                         "threads=" + std::to_string(threads) +
+                             " inst=" + std::to_string(ii) + " shards=" +
+                             std::to_string(shard_counts[si])});
+                }
         for (auto& p : inflight)
             expect_same_tree(p.h.wait(), refs[p.ii][p.si], p.what);
     }
@@ -123,9 +117,9 @@ TEST(RaceStress, ConcurrentMatrixIsBitIdentical) {
 /// to the sequential reference.
 TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
     const auto inst = stress_instance(48, 4, 3);
-    const route_result ref = route(make_request(inst, 0, 1));
+    const route_result ref = route(make_request(inst, 1));
     ASSERT_TRUE(ref.ok()) << ref.status_message;
-    const route_result ref4 = route(make_request(inst, 0, 4));
+    const route_result ref4 = route(make_request(inst, 4));
     ASSERT_TRUE(ref4.ok()) << ref4.status_message;
 
     service_options sopt;
@@ -145,15 +139,14 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
                            fault_kind::poisoned_shard);
         plans.push_back(std::move(plan));
         const int shards = (seed % 2 == 0) ? 4 : 1;
-        routing_request req = make_request(inst, (seed % 3 == 0) ? 4 : 0,
-                                           shards);
+        routing_request req = make_request(inst, shards);
         req.options.engine.cancel.set_faults(plans.back().get());
         submit_options so;
         so.retry.max_attempts = 2;
         handles.push_back(svc.submit(req, so));
         shard_of.push_back(shards);
         // Interleave healthy traffic so fault unwinds race completions.
-        handles.push_back(svc.submit(make_request(inst, 0, shards)));
+        handles.push_back(svc.submit(make_request(inst, shards)));
         shard_of.push_back(shards);
     }
     for (std::size_t i = 0; i < handles.size(); ++i) {
@@ -174,7 +167,7 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
         }
     }
     // The pool survived every unwind: the service still routes cleanly.
-    expect_same_tree(svc.route(make_request(inst, 4, 1)), ref, "post-fault");
+    expect_same_tree(svc.route(make_request(inst, 1)), ref, "post-fault");
 }
 
 /// Concurrent cancellation: handles cancelled from the driving thread
@@ -183,7 +176,7 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
 /// scratch pool stays balanced, and the service remains usable.
 TEST(RaceStress, ConcurrentCancellationIsClean) {
     const auto inst = stress_instance(72, 4, 5);
-    const route_result ref = route(make_request(inst, 0, 1));
+    const route_result ref = route(make_request(inst, 1));
     ASSERT_TRUE(ref.ok()) << ref.status_message;
 
     service_options sopt;
@@ -192,8 +185,7 @@ TEST(RaceStress, ConcurrentCancellationIsClean) {
     for (int round = 0; round < 3; ++round) {
         std::vector<route_handle> handles;
         for (int i = 0; i < 8; ++i)
-            handles.push_back(svc.submit(make_request(inst, i % 2 ? 4 : 0,
-                                                      1)));
+            handles.push_back(svc.submit(make_request(inst, 1)));
         for (std::size_t i = 0; i < handles.size(); i += 2)
             handles[i].cancel();
         for (std::size_t i = 0; i < handles.size(); ++i) {
@@ -206,8 +198,7 @@ TEST(RaceStress, ConcurrentCancellationIsClean) {
                     << res.status_message;
         }
     }
-    expect_same_tree(svc.route(make_request(inst, 0, 1)), ref,
-                     "post-cancel");
+    expect_same_tree(svc.route(make_request(inst, 1)), ref, "post-cancel");
 }
 
 }  // namespace

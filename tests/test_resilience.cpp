@@ -227,7 +227,7 @@ TEST(Resilience, RetryExhaustionStepsDownTheLadder) {
     route_result res = svc.submit(req, sub).wait();
     ASSERT_EQ(res.status, route_status::degraded) << res.status_message;
     EXPECT_EQ(res.attempts, 3);  // 2 faulted attempts + 1 rung-1 rerun
-    EXPECT_EQ(res.degradation.rung, degrade_rung::no_speculation);
+    EXPECT_EQ(res.degradation.rung, degrade_rung::coarse_shards);
     EXPECT_TRUE(res.degradation.verified);
     expect_verified(res, inst, req.spec, "ladder rung 1");
 }

@@ -221,12 +221,6 @@ TEST(RouteService, DeterministicAcrossThreadCounts) {
         r.options.engine.order = merge_order::multi_merge;
         reqs.push_back(r);
     }
-    // Speculative nearest-pair requests exercise the top-k plan() overlap
-    // (engaged at threads >= 2, a no-op at 1 — identical either way).
-    for (auto r : all_requests(inst)) {
-        r.options.engine.speculate_k = 4;
-        reqs.push_back(r);
-    }
     std::vector<int> counts{1, 2,
                             static_cast<int>(std::max(
                                 1u, std::thread::hardware_concurrency()))};
@@ -244,6 +238,42 @@ TEST(RouteService, DeterministicAcrossThreadCounts) {
                 runs[run][i], runs[0][i],
                 "threads=" + std::to_string(counts[run]) + " req " +
                     std::to_string(i));
+        }
+    }
+}
+
+TEST(RouteService, PaperBenchmarksIdenticalAcrossThreadCounts) {
+    // The windowed nearest-pair engine on the paper's r1–r4 (r3 and r4
+    // reject pairs, so bans and true-cost re-keying are exercised at
+    // scale): a service run at 2 and hw workers must reproduce the
+    // executor-free reference tree on both NN backends.
+    const std::vector<int> counts{
+        2, static_cast<int>(std::max(2u, std::thread::hardware_concurrency()))};
+    for (const char* name : {"r1", "r2", "r3", "r4"}) {
+        const gen::instance_spec spec = gen::paper_spec(name);
+        auto inst = gen::generate(spec);
+        gen::apply_intermingled_groups(inst, name[1] <= '2' ? 6 : 8,
+                                       spec.seed + 1);
+        for (const nn_backend be : {nn_backend::grid, nn_backend::linear}) {
+            routing_request r;
+            r.instance = &inst;
+            r.mode = ast_mode::windowed;
+            r.options.engine.backend = be;
+            const auto ref = direct_call(r);
+            if (name[1] >= '3') {
+                EXPECT_GT(ref.stats.rejected_pairs, 0)
+                    << name << ": want a workload that exercises bans";
+            }
+            for (const int threads : counts) {
+                service_options sopt;
+                sopt.threads = threads;
+                route_service svc(sopt);
+                expect_same_route(
+                    svc.route_batch({r})[0], ref,
+                    std::string(name) + " threads=" +
+                        std::to_string(threads) +
+                        (be == nn_backend::grid ? " grid" : " linear"));
+            }
         }
     }
 }
@@ -544,29 +574,23 @@ TEST(RouteService, CancelMidReduceStopsWithinOneRoundAndFreesScratch) {
     expect_same_route(again, route(base), "post-cancel scratch reuse");
 }
 
-TEST(RouteService, CancelMidSpeculativeReduceStopsAndStrandsNothing) {
-    // The selection checkpoint precedes the speculative top-k dispatch, so
-    // a fired token stops the reduce before another plan() batch fans out
-    // — and because the batch is a blocking parallel_for, no speculative
-    // task can outlive its step: after the unwind the pool is quiescent
-    // and immediately reusable.  Checkpoint counting works exactly as on
-    // the plain engine (speculation adds no polls).
+TEST(RouteService, CancelMidReduceWithExecutorStrandsNothing) {
+    // A reduce carrying a worker pool stops at the same checkpoint as an
+    // executor-free one, and after the unwind the pool is quiescent and
+    // immediately reusable.
     const auto inst = small_instance(150, 6, 44, true);
-    thread_pool pool(2);  // wide enough for speculation to engage
+    thread_pool pool(2);
     routing_request base;
     base.instance = &inst;
     base.mode = ast_mode::windowed;
     base.options.engine.executor = &pool;
-    base.options.engine.speculate_k = 8;
 
     cancel_probe counting;
     routing_context warm;
     {
         routing_request r = base;
         r.options.engine.cancel.set_probe(&counting);
-        const auto full = route(r, warm);
-        ASSERT_TRUE(full.ok());
-        ASSERT_GT(full.stats.speculated_plans, 0);  // pipeline engaged
+        ASSERT_TRUE(route(r, warm).ok());
     }
     ASSERT_GT(counting.polls, 20u);
     const std::uint64_t trip = counting.polls / 2;
@@ -584,31 +608,26 @@ TEST(RouteService, CancelMidSpeculativeReduceStopsAndStrandsNothing) {
     const auto res = route(r, ctx);
     EXPECT_EQ(res.status, route_status::cancelled);
     EXPECT_EQ(res.tree.size(), 0u);
-    EXPECT_EQ(probe.polls, trip);        // same bound as the plain engine
+    EXPECT_EQ(probe.polls, trip);        // same bound as without a pool
     EXPECT_GT(res.stats.merges, 0);
     EXPECT_LE(res.stats.merges, static_cast<int>(trip) - 2);
-    // The interrupt closed the speculation books on its way out.
-    EXPECT_GT(res.stats.speculated_plans, 0);
-    EXPECT_EQ(res.stats.wasted_speculation,
-              res.stats.speculated_plans - res.stats.speculative_hits);
     EXPECT_EQ(ctx.pooled_scratch(), 1u);  // lease released by the unwind
 
     // Nothing was stranded: the same pool and context immediately serve
-    // an identical speculative request, bit-identical to a fresh one.
+    // an identical request, bit-identical to a fresh one.
     const auto again = route(base, ctx);
-    expect_same_route(again, route(base), "post-cancel speculative reuse");
+    expect_same_route(again, route(base), "post-cancel pool reuse");
 }
 
-TEST(RouteService, DeadlineMidSpeculativeReduceReportsAndRecovers) {
+TEST(RouteService, DeadlineMidReduceWithExecutorReportsAndRecovers) {
     // Same contract for deadlines: expiry is observed at the next
-    // selection checkpoint, before the step's speculative dispatch.
+    // selection checkpoint.
     const auto inst = small_instance(150, 6, 44, true);
     thread_pool pool(2);
     routing_request r;
     r.instance = &inst;
     r.mode = ast_mode::windowed;
     r.options.engine.executor = &pool;
-    r.options.engine.speculate_k = 8;
     cancel_probe probe;
     probe.on_poll = [](std::uint64_t k) {
         if (k == 10)
