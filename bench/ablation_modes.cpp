@@ -1,4 +1,4 @@
-// Ablation C — the consistency study (DESIGN.md §5, EXPERIMENTS.md):
+// Ablation C — the consistency study (DESIGN.md §5):
 // how the three AST conflict strategies trade wirelength, snaking and
 // residual violations, plus the bind-deferral knob demonstrating why
 // postponing offset commitments degenerates toward separate-tree overlap

@@ -8,6 +8,7 @@
 #include "geom/octagon.hpp"
 
 #include <iostream>
+#include <utility>
 
 using namespace astclk;
 
@@ -65,7 +66,7 @@ int main() {
                                   core::skew_spec::zero());
         const auto commit = [&](topo::node_id x, topo::node_id y) {
             auto p = solver.plan(t, x, y);
-            return solver.commit(t, x, y, *p);
+            return solver.commit(t, x, y, std::move(*p));
         };
         const auto left = commit(leaves[0], leaves[1]);    // {G0, G1}
         const auto deep = commit(leaves[3], leaves[4]);    // deep G1 pair

@@ -54,9 +54,9 @@ route_result strategy_ast_dme(const routing_request& req,
     }
 
     // Automatic: exact ledger for all-zero specs (guaranteed constraints,
-    // stable wirelength — see EXPERIMENTS.md for the windowed/soft
-    // instability study), soft ledger for bounded specs (the exact ledger
-    // needs degenerate delay intervals).
+    // stable wirelength — DESIGN.md §5 compares the strategies), soft
+    // ledger for bounded specs (the exact ledger needs degenerate delay
+    // intervals).
     if (all_zero(spec))
         return run_once(inst, spec, opt, consistency_mode::exact, ctx);
     return run_once(inst, spec, opt, consistency_mode::soft, ctx);

@@ -108,6 +108,36 @@ template <class Cmp, std::size_t D = kheap_arity, class T>
     return {};
 }
 
+/// Position map of an addressable heap (dary_heap.hpp; the engine's
+/// selection and radius heaps): `pos[h[i].a] == i` for every slot, every
+/// id the map places maps to a slot holding that id, and the heap holds
+/// at most `active_count` entries — one per live root, so a stale entry
+/// that came back would overflow it.
+template <class T>
+[[nodiscard]] std::string verify_heap_positions(
+    const std::vector<T>& h, const std::vector<std::uint32_t>& pos,
+    std::size_t active_count) {
+    if (h.size() > active_count)
+        return "heap holds " + std::to_string(h.size()) +
+               " entries for " + std::to_string(active_count) +
+               " live roots";
+    for (std::size_t i = 0; i < h.size(); ++i) {
+        const auto id = static_cast<std::size_t>(h[i].a);
+        if (id >= pos.size() || pos[id] != i)
+            return "heap slot " + std::to_string(i) + " holds id " +
+                   std::to_string(id) + " whose position is not " +
+                   std::to_string(i);
+    }
+    for (std::size_t id = 0; id < pos.size(); ++id) {
+        if (pos[id] == knpos) continue;
+        if (pos[id] >= h.size() ||
+            static_cast<std::size_t>(h[pos[id]].a) != id)
+            return "id " + std::to_string(id) + " maps to heap slot " +
+                   std::to_string(pos[id]) + " that does not hold it";
+    }
+    return {};
+}
+
 /// Scratch-lease bookkeeping of a *quiesced* routing_context: every
 /// engine_scratch ever allocated must be back in the pool once no request
 /// is in flight (leases return on destruction, cancellation and deadline

@@ -19,17 +19,18 @@ namespace astclk::core {
 /// reinitialises the *contents* while keeping the capacity, so a reused
 /// scratch produces bit-identical runs and merely skips the allocations.
 struct engine_scratch::impl {
+    /// Root a's selection candidate: the pair (a, nn_to[a]) at arc
+    /// distance nn_dist[a].  One per root, so the partner and distance
+    /// live in the NN tables only.
     struct sel_entry {
-        double key;   ///< ordering key: distance lower bound or cached cost
-        double dist;  ///< arc distance (stats baseline)
-        topo::node_id a, b;
-        std::uint32_t gen;  ///< gen[a] at push; mismatch = stale
-        bool cached;        ///< key is the true plan cost
+        double key;  ///< ordering key: distance lower bound or cached cost
+        topo::node_id a;
+        bool cached;  ///< key is the true plan cost
     };
+    /// Root a's nearest-neighbour distance; one per root with a partner.
     struct rad_entry {
         double dist;
         topo::node_id a;
-        std::uint32_t gen;
     };
 
     std::unordered_set<std::uint64_t> banned;
@@ -42,11 +43,14 @@ struct engine_scratch::impl {
     pair_cost_cache cost_cache;
     std::vector<topo::node_id> nn_to;  ///< id -> current NN (knull: none)
     std::vector<double> nn_dist;       ///< id -> distance to nn_to
-    std::vector<std::uint32_t> gen;    ///< id -> generation counter
     std::vector<std::vector<topo::node_id>> rev;  ///< id -> roots whose NN it is
     std::unordered_set<topo::node_id> starved;    ///< all partners banned
-    std::vector<sel_entry> heap;    ///< selection min-heap (4-ary, dary_heap)
-    std::vector<rad_entry> radius;  ///< influence-radius max-heap (4-ary)
+    // Addressable 4-ary heaps (dary_heap.hpp), each with its id -> index
+    // position map (knpos: the id holds no entry).
+    std::vector<sel_entry> heap;    ///< selection min-heap
+    std::vector<rad_entry> radius;  ///< influence-radius max-heap
+    std::vector<std::uint32_t> heap_pos;
+    std::vector<std::uint32_t> radius_pos;
     // Multi-merge round buffers (slot-indexed NN records, pre-solved plans).
     std::vector<std::pair<topo::node_id, double>> round_nn;
     std::vector<std::optional<merge_plan>> round_plans;
@@ -59,10 +63,10 @@ struct engine_scratch::impl {
     std::vector<std::pair<topo::node_id, topo::node_id>> kernel_pairs;
     std::vector<int> kernel_fb;
     // Per-step work lists reused across the run (integrate's affected
-    // roots, pop_cheapest's equal-key losers): both are cleared before
-    // use, so reuse only spares the per-call allocation.
+    // roots, cheapest()'s equal-key group): both are cleared before use,
+    // so reuse only spares the per-call allocation.
     std::vector<topo::node_id> affected;
-    std::vector<sel_entry> losers;
+    std::vector<std::uint32_t> ties;
 
     /// Reinitialise for a run over a tree that currently has `ids` nodes.
     void reset(std::size_t ids) {
@@ -77,7 +81,8 @@ struct engine_scratch::impl {
         kernel_fb.clear();
         nn_to.assign(ids, topo::knull_node);
         nn_dist.assign(ids, 0.0);
-        gen.assign(ids, 0);
+        heap_pos.assign(ids, knpos);
+        radius_pos.assign(ids, knpos);
         if (rev.size() < ids) rev.resize(ids);
         for (auto& r : rev) r.clear();
     }
@@ -95,11 +100,10 @@ constexpr double kcost_slack = 1e-9;  // layout units
 using sel_entry = engine_scratch::impl::sel_entry;
 using rad_entry = engine_scratch::impl::rad_entry;
 
-struct sel_order {  // min-heap on (key, a, b)
+struct sel_order {  // min-heap on (key, a)
     bool operator()(const sel_entry& x, const sel_entry& y) const {
         if (x.key != y.key) return x.key > y.key;
-        if (x.a != y.a) return x.a > y.a;
-        return x.b > y.b;
+        return x.a > y.a;
     }
 };
 struct rad_order {  // max-heap on dist
@@ -108,20 +112,20 @@ struct rad_order {  // max-heap on dist
     }
 };
 
-// The heaps are 4-ary implicit heaps over the scratch vectors
-// (dary_heap.hpp).  Pop order under sel_order — a *total* order on
-// (key, a, b) — is the sorted drain of the multiset regardless of arity,
-// so the switch from the former std::push_heap/pop_heap binary layout is
-// bit-identical by construction (and asserted by tests/test_dary_heap.cpp);
-// rad_order ties are resolved arbitrarily, but current_radius only reads
-// the dist *value*, which is the same for every tied top.
+// The heaps are addressable 4-ary heaps (dary_heap.hpp) holding at most
+// one entry per active root.  a is unique per entry, so sel_order is a
+// *total* order — the (key, a, b) order of the pairs, since b is a's
+// partner — and the selection front is the same entry whatever the
+// layout; rad_order ties are resolved arbitrarily, but current_radius
+// only reads the dist *value*, which every tied top shares.
+
+/// Insert `e`, or replace the entry its root already holds.
 template <class Cmp, class T>
-void heap_push(std::vector<T>& h, const T& e) {
-    dary_push<Cmp>(h, e);
-}
-template <class Cmp, class T>
-void heap_pop(std::vector<T>& h) {
-    dary_pop<Cmp>(h);
+void heap_set(std::vector<T>& h, std::vector<std::uint32_t>& pos, const T& e) {
+    if (pos[static_cast<std::size_t>(e.a)] == knpos)
+        dary_push<Cmp>(h, pos, e);
+    else
+        dary_update<Cmp>(h, pos, e);
 }
 
 /// Inlined ban predicate: no std::function on the hot path.  This is the
@@ -251,13 +255,14 @@ class nearest_reducer {
 #ifdef ASTCLK_AUDIT
             audit_checkpoint(++audit_step);
 #endif
-            const auto popped = pop_cheapest();
-            if (!popped.has_value()) {
+            const auto picked = cheapest();
+            if (!picked.has_value()) {
                 forced_step();
                 continue;
             }
-            const auto [key, dist, a, b, gen, cached] = *popped;
-            (void)gen;
+            const auto [key, a, cached] = *picked;
+            const topo::node_id b = s_.nn_to[static_cast<std::size_t>(a)];
+            const double dist = s_.nn_dist[static_cast<std::size_t>(a)];
             auto plan = solve_one(a, b);
             if (!plan.has_value()) {
                 ban_pair(s_, a, b);
@@ -273,12 +278,12 @@ class nearest_reducer {
                 // now be cheaper.  Only the cost is memoised: a re-keyed
                 // pair that wins again is simply re-solved.
                 s_.cost_cache.store(pair_key(a, b), plan->order_cost);
-                heap_push<sel_order>(
-                    s_.heap, {plan->order_cost, dist, a, b, gen_at(a), true});
+                dary_update<sel_order>(s_.heap, s_.heap_pos,
+                                       {plan->order_cost, a, true});
                 continue;
             }
-            const topo::node_id c = solver_.commit(t_, a, b, *plan);
             note_plan(*plan, dist, st_);
+            const topo::node_id c = solver_.commit(t_, a, b, std::move(*plan));
             integrate(a, b, c);
         }
         finalize_stats();
@@ -291,26 +296,30 @@ class nearest_reducer {
         if (s_.nn_to.size() >= need) return;
         s_.nn_to.resize(need, topo::knull_node);
         s_.nn_dist.resize(need, 0.0);
-        s_.gen.resize(need, 0);
+        s_.heap_pos.resize(need, knpos);
+        s_.radius_pos.resize(need, knpos);
         if (s_.rev.size() < need) s_.rev.resize(need);
-    }
-
-    [[nodiscard]] std::uint32_t gen_at(topo::node_id i) const {
-        return s_.gen[static_cast<std::size_t>(i)];
     }
 
 #ifdef ASTCLK_AUDIT
     /// Audit-build hook riding the selection checkpoint (DESIGN.md §12):
-    /// cheap structural checks every step — both scratch heaps ordered and
-    /// the stats books internally consistent — and the full
-    /// grid-vs-live-set cross-check (which walks every cell) every 64th
-    /// step and on the first.
+    /// structural checks every step — both scratch heaps ordered, their
+    /// position maps exact and no larger than the live set, and the stats
+    /// books internally consistent — and the full grid-vs-live-set
+    /// cross-check (which walks every cell) every 64th step and on the
+    /// first.
     void audit_checkpoint(std::uint64_t step) {
+        const std::size_t live = idx_.size();
         audit::checkpoint("selection/heap",
                           audit::verify_heap_invariant<sel_order>(s_.heap));
+        audit::checkpoint("selection/heap", audit::verify_heap_positions(
+                                                s_.heap, s_.heap_pos, live));
         audit::checkpoint(
             "selection/radius",
             audit::verify_heap_invariant<rad_order>(s_.radius));
+        audit::checkpoint("selection/radius",
+                          audit::verify_heap_positions(
+                              s_.radius, s_.radius_pos, live));
         audit::checkpoint("selection/stats", audit::verify_stats_books(st_));
         if constexpr (std::is_same_v<Index, grid_index>) {
             if (step % 64 == 1) {
@@ -351,8 +360,9 @@ class nearest_reducer {
     }
 
     /// Point i's nearest-neighbour record at (j, d); maintains the reverse
-    /// lists, the generation counter, and both heaps.  j == knull means
-    /// "no eligible partner" (all banned) and parks i in the starved set.
+    /// lists and i's entries in both heaps.  j == knull means "no eligible
+    /// partner" (all banned): i leaves both heaps and is parked in the
+    /// starved set.
     void set_nn(topo::node_id i, topo::node_id j, double d) {
         const auto si = static_cast<std::size_t>(i);
         const topo::node_id old = s_.nn_to[si];
@@ -362,11 +372,11 @@ class nearest_reducer {
         }
         s_.nn_to[si] = j;
         s_.nn_dist[si] = d;
-        ++s_.gen[si];
         if constexpr (std::is_same_v<Index, grid_index>) {
             if (nn_batch_) idx_.raise_nn_bound(i, d);
         }
         if (j == topo::knull_node) {
+            drop_entries(i);
             s_.starved.insert(i);
             return;
         }
@@ -376,10 +386,18 @@ class nearest_reducer {
         if (!s_.starved.empty()) s_.starved.erase(i);
         s_.rev[static_cast<std::size_t>(j)].push_back(i);
         const auto cv = s_.cost_cache.lookup(pair_key(i, j));
-        heap_push<sel_order>(s_.heap,
-                             {cv.value_or(d), d, i, j, s_.gen[si],
-                              cv.has_value()});
-        heap_push<rad_order>(s_.radius, {d, i, s_.gen[si]});
+        heap_set<sel_order>(s_.heap, s_.heap_pos,
+                            {cv.value_or(d), i, cv.has_value()});
+        heap_set<rad_order>(s_.radius, s_.radius_pos, {d, i});
+    }
+
+    /// Remove i's entries from both heaps, where it holds them.
+    void drop_entries(topo::node_id i) {
+        const auto si = static_cast<std::size_t>(i);
+        if (s_.heap_pos[si] != knpos)
+            dary_erase<sel_order>(s_.heap, s_.heap_pos, si);
+        if (s_.radius_pos[si] != knpos)
+            dary_erase<rad_order>(s_.radius, s_.radius_pos, si);
     }
 
     void recompute(topo::node_id i) {
@@ -426,70 +444,60 @@ class nearest_reducer {
             set_nn(i, topo::knull_node, 0.0);
     }
 
-    /// Pop one live entry off the heap: skips superseded generations and
-    /// lazily re-keys entries whose cached true cost exceeds their key.
-    std::optional<sel_entry> pop_valid() {
-        while (!s_.heap.empty()) {
-            const sel_entry e = s_.heap.front();
-            heap_pop<sel_order>(s_.heap);
-            if (e.gen != gen_at(e.a)) continue;  // superseded or erased
-            if (!e.cached) {
-                if (const auto cv = s_.cost_cache.lookup(pair_key(e.a, e.b));
-                    cv.has_value() && *cv > e.key) {
-                    heap_push<sel_order>(s_.heap,
-                                         {*cv, e.dist, e.a, e.b, e.gen, true});
-                    continue;
+    /// Re-key `e` in place to its cached true cost when that exceeds its
+    /// distance key (the pair was solved since `e` was keyed); true when
+    /// it did.
+    bool rekeyed(const sel_entry& e) {
+        if (e.cached) return false;
+        const auto cv = s_.cost_cache.lookup(
+            pair_key(e.a, s_.nn_to[static_cast<std::size_t>(e.a)]));
+        if (!cv.has_value() || *cv <= e.key) return false;
+        dary_update<sel_order>(s_.heap, s_.heap_pos, {*cv, e.a, true});
+        return true;
+    }
+
+    /// The cheapest candidate; nullopt when every remaining pair is banned
+    /// (the forced-merge endgame).  The winner stays in the heap: every
+    /// path of the step replaces, re-keys or erases it.  Tied entries whose
+    /// cached true cost exceeds their key are re-keyed out of contention
+    /// first; the rest resolve by the owner's active-slot order — exactly
+    /// the tie-break of the former O(n) selection sweep, so the heap
+    /// engine reproduces its trees bit-for-bit.  No child orders above its
+    /// parent, so the entries tied at the front key form a subtree hanging
+    /// from the front, walked in place without popping.
+    std::optional<sel_entry> cheapest() {
+        const auto& h = s_.heap;
+        auto& ties = s_.ties;
+        while (!h.empty()) {
+            const double key = h.front().key;
+            const sel_entry* best = nullptr;
+            bool settled = true;
+            ties.assign(1, 0);
+            for (std::size_t k = 0; k < ties.size(); ++k) {
+                const sel_entry& e = h[ties[k]];
+                if (rekeyed(e)) {  // reshuffles the heap: walk again
+                    settled = false;
+                    break;
                 }
+                if (best == nullptr ||
+                    idx_.slot_of(e.a) < idx_.slot_of(best->a))
+                    best = &e;
+                const std::size_t first = ties[k] * kheap_arity + 1;
+                const std::size_t last =
+                    std::min(first + kheap_arity, h.size());
+                for (std::size_t c = first; c < last; ++c)
+                    if (h[c].key == key)
+                        ties.push_back(static_cast<std::uint32_t>(c));
             }
-            return e;
+            if (settled) return *best;
         }
         return std::nullopt;
     }
 
-    /// Pop the cheapest live candidate; nullopt when every remaining pair
-    /// is banned (the forced-merge endgame).  Equal-key groups are drained
-    /// and resolved by the owner's active-slot order — exactly the
-    /// tie-break of the former O(n) selection sweep, so the heap engine
-    /// reproduces its trees bit-for-bit.  Losers go straight back on the
-    /// heap (generations untouched), so the drain is O(group * log n).
-    std::optional<sel_entry> pop_cheapest() {
-        auto best = pop_valid();
-        if (!best.has_value()) return std::nullopt;
-        auto& losers = s_.losers;
-        losers.clear();
-        while (!s_.heap.empty() && s_.heap.front().key == best->key) {
-            const sel_entry e = s_.heap.front();
-            heap_pop<sel_order>(s_.heap);
-            if (e.gen != gen_at(e.a)) continue;
-            if (!e.cached) {
-                if (const auto cv = s_.cost_cache.lookup(pair_key(e.a, e.b));
-                    cv.has_value() && *cv > e.key) {
-                    heap_push<sel_order>(s_.heap,
-                                         {*cv, e.dist, e.a, e.b, e.gen, true});
-                    continue;  // re-keyed above the group; out of contention
-                }
-            }
-            if (idx_.slot_of(e.a) < idx_.slot_of(best->a)) {
-                losers.push_back(*best);
-                best = e;
-            } else {
-                losers.push_back(e);
-            }
-        }
-        for (const sel_entry& l : losers) heap_push<sel_order>(s_.heap, l);
-        return best;
-    }
-
-    /// Current nearest-neighbour influence radius: the largest up-to-date
-    /// nn distance over active roots (stale heap tops are discarded; any
-    /// survivor only overestimates, which is admissible).
-    double current_radius() {
-        while (!s_.radius.empty()) {
-            const rad_entry e = s_.radius.front();
-            if (e.gen == gen_at(e.a)) return e.dist;
-            heap_pop<rad_order>(s_.radius);
-        }
-        return 0.0;
+    /// Current nearest-neighbour influence radius: the largest nn distance
+    /// over active roots with a partner.
+    [[nodiscard]] double current_radius() const {
+        return s_.radius.empty() ? 0.0 : s_.radius.front().dist;
     }
 
     void erase_node(topo::node_id i) {
@@ -501,7 +509,7 @@ class nearest_reducer {
             r.erase(std::find(r.begin(), r.end(), i));
         }
         s_.nn_to[si] = topo::knull_node;
-        ++s_.gen[si];  // invalidates every heap entry owned by i
+        drop_entries(i);
         if (!s_.starved.empty()) s_.starved.erase(i);
     }
 
@@ -550,7 +558,8 @@ class nearest_reducer {
                 // strict `<` update are the scalar loop's, applied to
                 // precomputed distances.  Visit order differs from the
                 // scalar loop, which only permutes reverse-list and heap
-                // push order — pops follow the total (key, a, b) order.
+                // update order — the selection follows the total
+                // (key, a, b) order.
                 idx_.for_each_improvable(
                     arc_c, radius, s_.nn_dist, [&](topo::node_id i, double d) {
                         if (i == c) return;
@@ -579,10 +588,10 @@ class nearest_reducer {
         const auto [a, b] = forced_nearest_pair(t_, idx_);
         assert(a != topo::knull_node);
         const double bd = t_.node(a).arc.distance(t_.node(b).arc);
-        const merge_plan p = solver_.plan_forced(t_, a, b);
-        const topo::node_id c = solver_.commit(t_, a, b, p);
+        merge_plan p = solver_.plan_forced(t_, a, b);
         note_plan(p, bd, st_);
         if (p.violation <= 0.0) ++st_.forced_merges;  // count the fallback
+        const topo::node_id c = solver_.commit(t_, a, b, std::move(p));
         integrate(a, b, c);
     }
 
@@ -729,8 +738,9 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
                 ++st.rejected_pairs;
                 continue;
             }
-            const topo::node_id c = solver.commit(t, cd.a, cd.b, *plan);
             note_plan(*plan, cd.d, st);
+            const topo::node_id c =
+                solver.commit(t, cd.a, cd.b, std::move(*plan));
             idx.erase(cd.a);
             idx.erase(cd.b);
             idx.insert(c);
@@ -742,9 +752,9 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
         // nearest (possibly banned) pair.
         const auto [ba, bb] = forced_nearest_pair(t, idx);
         const double bd = t.node(ba).arc.distance(t.node(bb).arc);
-        const merge_plan p = solver.plan_forced(t, ba, bb);
-        const topo::node_id c = solver.commit(t, ba, bb, p);
+        merge_plan p = solver.plan_forced(t, ba, bb);
         note_plan(p, bd, st);
+        const topo::node_id c = solver.commit(t, ba, bb, std::move(p));
         idx.erase(ba);
         idx.erase(bb);
         idx.insert(c);

@@ -10,9 +10,9 @@
 ///
 /// Pair selection follows the paper's minimum-merging-cost scheme with two
 /// optional enhancements from Ch. V-F:
-///   * lazy true-cost re-keying — pairs popped by the distance lower bound
-///     are re-inserted with their full plan cost (snake wire included) when
-///     it exceeds the next candidate's key;
+///   * lazy true-cost re-keying — pairs selected by the distance lower
+///     bound are re-keyed with their full plan cost (snake wire included)
+///     when it exceeds the next candidate's key;
 ///   * Edahiro-style multi-merge rounds — all *mutually* nearest pairs are
 ///     merged per round, cutting nearest-neighbour recomputations.
 ///
@@ -21,13 +21,13 @@
 ///     arc boxes (grid_index; ring expansion with the arc-distance lower
 ///     bound), with the exact linear scan (nn_index) selectable as a
 ///     verification backend via `engine_options::backend`;
-///   * the cheapest pair is popped from a global lazy-deletion min-heap
-///     keyed by the distance lower bound (re-keyed with cached true plan
-///     cost); per-node generation counters invalidate stale entries instead
-///     of rescanning the active set; both the selection and radius heaps
-///     are 4-ary implicit heaps over reusable scratch vectors
-///     (dary_heap.hpp) — same pop order as the former binary heaps, half
-///     the sift depth;
+///   * the cheapest pair is read off a global min-heap keyed by the
+///     distance lower bound (re-keyed in place with cached true plan cost)
+///     instead of rescanning the active set; the selection heap and the
+///     influence-radius heap are addressable 4-ary heaps over reusable
+///     scratch vectors (dary_heap.hpp) holding exactly one entry per
+///     active root with a partner, updated and erased in place through an
+///     id -> position map, so no entry is ever stale;
 ///   * after each commit only the affected neighbourhoods are touched:
 ///     roots whose nearest neighbour was one of the merged pair (tracked by
 ///     reverse-NN lists) are recomputed, and the new root is folded into

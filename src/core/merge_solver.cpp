@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace astclk::core {
 
@@ -342,7 +343,7 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
 }
 
 topo::node_id merge_solver::commit(topo::clock_tree& t, topo::node_id a,
-                                   topo::node_id b, const merge_plan& p) const {
+                                   topo::node_id b, merge_plan p) const {
     // Bind newly co-resident offset components before mutating the tree.
     if (ledger_ != nullptr && mode_ != consistency_mode::windowed) {
         const topo::group_id rep_a = t.node(a).delays.entries().front().first;
@@ -369,7 +370,8 @@ topo::node_id merge_solver::commit(topo::clock_tree& t, topo::node_id a,
             r.delays.set(g, iv->shifted(s.delay_shift));
         }
     }
-    return t.add_internal(a, b, p.arc, p.alpha, p.beta, p.new_cap, p.delays);
+    return t.add_internal(a, b, p.arc, p.alpha, p.beta, p.new_cap,
+                          std::move(p.delays));
 }
 
 }  // namespace astclk::core

@@ -182,9 +182,10 @@ class merge_solver {
                                          topo::node_id b) const;
 
     /// Apply a plan: mutate snaked child edges, create and return the new
-    /// root node.
+    /// root node.  Consumes the plan: its delay map moves into the tree
+    /// (pass an rvalue to skip the copy).
     topo::node_id commit(topo::clock_tree& t, topo::node_id a, topo::node_id b,
-                         const merge_plan& p) const;
+                         merge_plan p) const;
 
   private:
     [[nodiscard]] std::optional<merge_plan> solve(const topo::clock_tree& t,

@@ -150,7 +150,7 @@ route_result route_ext_bst(const topo::instance& inst, double global_bound,
 
 /// AST-DME with per-group bounds (default: zero intra-group skew).
 /// `mode` selects the conflict strategy; `exact_ledger` requires an
-/// all-zero spec and falls back to `windowed` otherwise.
+/// all-zero spec and runs `soft_ledger` otherwise.
 route_result route_ast_dme(const topo::instance& inst,
                            const skew_spec& spec = skew_spec::zero(),
                            const router_options& opt = {},

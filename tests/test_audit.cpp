@@ -3,7 +3,8 @@
 //  * self-tests: every audit::verify_* checker runs green on healthy
 //    state, then a violation is seeded — a corrupted edge, a stale grid
 //    registration, a grid NN bound below an occupant's NN distance, a
-//    broken heap order, a leaked scratch lease, books that do not sum —
+//    broken heap order, a heap position map out of step with its heap, a
+//    leaked scratch lease, books that do not sum —
 //    and the checker must name it.  A checker that cannot detect the
 //    corruption it claims to guard against is worse than none: it
 //    certifies.
@@ -20,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace astclk::core {
@@ -149,17 +152,30 @@ TEST(AuditGrid, NnBoundsHoldThroughWalksAndSeededViolationFires) {
 
 // -------------------------------------------------------- heap invariant
 
+/// An addressable-heap element: a key and the id that owns it.
+struct keyed {
+    int key;
+    int a;
+};
+struct keyed_less {
+    bool operator()(const keyed& x, const keyed& y) const {
+        return x.key < y.key;
+    }
+};
+
 TEST(AuditHeap, DaryHeapPassesAndCorruptionFires) {
-    std::vector<int> h;
+    std::vector<keyed> h;
+    std::vector<std::uint32_t> pos(13, knpos);
+    int id = 0;
     for (int v : {5, 1, 9, 9, 3, 7, 2, 8, 0, 4, 6, 11, -3})
-        dary_push<std::less<int>>(h, v);
-    EXPECT_EQ((audit::verify_heap_invariant<std::less<int>>(h)), "");
-    dary_pop<std::less<int>>(h);
-    EXPECT_EQ((audit::verify_heap_invariant<std::less<int>>(h)), "");
+        dary_push<keyed_less>(h, pos, keyed{v, id++});
+    EXPECT_EQ((audit::verify_heap_invariant<keyed_less>(h)), "");
+    dary_erase<keyed_less>(h, pos, static_cast<std::size_t>(h.front().a));
+    EXPECT_EQ((audit::verify_heap_invariant<keyed_less>(h)), "");
 
     // Seed: a tail element larger than everything breaks the d-ary order.
-    h.back() = 1000;
-    const std::string diag = audit::verify_heap_invariant<std::less<int>>(h);
+    h.back().key = 1000;
+    const std::string diag = audit::verify_heap_invariant<keyed_less>(h);
     ASSERT_NE(diag, "");
     EXPECT_NE(diag.find("heap invariant"), std::string::npos) << diag;
 
@@ -168,6 +184,38 @@ TEST(AuditHeap, DaryHeapPassesAndCorruptionFires) {
     EXPECT_EQ((audit::verify_heap_invariant<std::less<int>, 2>(bin)), "");
     bin[3] = 99;  // child of bin[1] under D=2
     EXPECT_NE((audit::verify_heap_invariant<std::less<int>, 2>(bin)), "");
+}
+
+TEST(AuditHeap, PositionMapPassesAndCorruptionsFire) {
+    std::vector<keyed> h;
+    std::vector<std::uint32_t> pos(10, knpos);
+    for (int i = 0; i < 8; ++i)
+        dary_push<keyed_less>(h, pos, keyed{i % 3, i});
+    dary_update<keyed_less>(h, pos, keyed{7, 2});
+    dary_erase<keyed_less>(h, pos, 5);
+    EXPECT_EQ(audit::verify_heap_positions(h, pos, 7), "");
+
+    {  // Two slots' ids swapped behind the map's back.
+        auto bad = h;
+        std::swap(bad[1].a, bad[2].a);
+        const std::string diag = audit::verify_heap_positions(bad, pos, 7);
+        ASSERT_NE(diag, "");
+        EXPECT_NE(diag.find("heap slot"), std::string::npos) << diag;
+    }
+    {  // An id with no entry still mapped to a slot (a dangling position).
+        auto bad = pos;
+        bad[5] = 0;
+        const std::string diag = audit::verify_heap_positions(h, bad, 7);
+        ASSERT_NE(diag, "");
+        EXPECT_NE(diag.find("does not hold it"), std::string::npos) << diag;
+        bad[5] = static_cast<std::uint32_t>(h.size());  // past the end
+        EXPECT_NE(audit::verify_heap_positions(h, bad, 7), "");
+    }
+    {  // More entries than live roots: a stale entry came back.
+        const std::string diag = audit::verify_heap_positions(h, pos, 6);
+        ASSERT_NE(diag, "");
+        EXPECT_NE(diag.find("live roots"), std::string::npos) << diag;
+    }
 }
 
 // -------------------------------------------------- scratch lease balance

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace astclk::eval {
 namespace {
 
@@ -111,13 +113,15 @@ TEST(Evaluate, AgreesWithSolverBookkeeping) {
     merge_solver solver(tech, skew_spec::zero());
     auto p1 = solver.plan(t, roots[0], roots[1]);
     ASSERT_TRUE(p1.has_value());
-    const node_id m1 = solver.commit(t, roots[0], roots[1], *p1);
+    const node_id m1 =
+        solver.commit(t, roots[0], roots[1], std::move(*p1));
     auto p2 = solver.plan(t, roots[2], roots[3]);
     ASSERT_TRUE(p2.has_value());
-    const node_id m2 = solver.commit(t, roots[2], roots[3], *p2);
+    const node_id m2 =
+        solver.commit(t, roots[2], roots[3], std::move(*p2));
     auto p3 = solver.plan(t, m1, m2);
     ASSERT_TRUE(p3.has_value());
-    const node_id top = solver.commit(t, m1, m2, *p3);
+    const node_id top = solver.commit(t, m1, m2, std::move(*p3));
     t.set_root(top);
     t.set_source_edge(0.0);
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 namespace astclk::core {
 namespace {
@@ -113,7 +114,7 @@ TEST(MergeSolver, RootSnakeWhenTargetOutOfRange) {
     deep.beta += 5000.0;
     deep.new_cap += kmodel.wire_cap(10000.0);
     deep.delays.shift_all(kmodel.edge_delay(5000.0, 1e-13));  // roughly
-    const node_id ab = solver.commit(t, a, b, deep);
+    const node_id ab = solver.commit(t, a, b, std::move(deep));
     const auto p2 = solver.plan(t, ab, c);
     ASSERT_TRUE(p2.has_value());
     const double span = t.node(ab).arc.distance(t.node(c).arc);
@@ -177,13 +178,13 @@ conflict_fixture make_conflict(merge_solver& solver) {
     const node_id e = f.t.add_leaf(f.inst, 4);
     auto p1 = solver.plan(f.t, a, b);
     EXPECT_TRUE(p1.has_value());
-    f.left_root = solver.commit(f.t, a, b, *p1);
+    f.left_root = solver.commit(f.t, a, b, std::move(*p1));
     auto p2 = solver.plan(f.t, d, e);  // deep G1 pair
     EXPECT_TRUE(p2.has_value());
-    const node_id g1 = solver.commit(f.t, d, e, *p2);
+    const node_id g1 = solver.commit(f.t, d, e, std::move(*p2));
     auto p3 = solver.plan(f.t, c, g1);  // G0 sink near the G1 arc
     EXPECT_TRUE(p3.has_value());
-    f.right_root = solver.commit(f.t, c, g1, *p3);
+    f.right_root = solver.commit(f.t, c, g1, std::move(*p3));
     return f;
 }
 

@@ -90,6 +90,28 @@ TEST(Routers, AstExactLedgerNeverForcesViolations) {
     }
 }
 
+TEST(Routers, AstExactLedgerOnBoundedSpecRunsSoftLedger) {
+    // The exact ledger needs degenerate delay intervals, so a nonzero spec
+    // routes exactly as soft_ledger: same tree, same books.
+    const auto inst = small_instance(90, 6, 5, true);
+    const skew_spec spec = skew_spec::uniform(10e-12);
+    const auto exact = route_ast_dme(inst, spec, {}, ast_mode::exact_ledger);
+    const auto soft = route_ast_dme(inst, spec, {}, ast_mode::soft_ledger);
+    ASSERT_TRUE(exact.ok()) << exact.status_message;
+    EXPECT_EQ(exact.wirelength, soft.wirelength);
+    EXPECT_EQ(exact.stats.merges, soft.stats.merges);
+    EXPECT_EQ(exact.stats.shared_merges, soft.stats.shared_merges);
+    EXPECT_EQ(exact.stats.forced_merges, soft.stats.forced_merges);
+    EXPECT_EQ(exact.stats.rejected_pairs, soft.stats.rejected_pairs);
+    EXPECT_EQ(exact.stats.root_snakes, soft.stats.root_snakes);
+    EXPECT_EQ(exact.stats.interior_snakes, soft.stats.interior_snakes);
+    EXPECT_EQ(exact.stats.snake_wire, soft.stats.snake_wire);
+    EXPECT_EQ(exact.stats.worst_violation, soft.stats.worst_violation);
+    // ...which is not windowed: that tree differs.
+    const auto win = route_ast_dme(inst, spec, {}, ast_mode::windowed);
+    EXPECT_NE(exact.wirelength, win.wirelength);
+}
+
 TEST(Routers, AstBoundedSpecKeepsGroupsWithinBound) {
     const auto inst = small_instance(60, 4, 9, true);
     const router_options opt;

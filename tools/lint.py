@@ -23,6 +23,10 @@ know about, as a ctest target (label `lint`):
                      angle-bracketed.
   R6 size-lock       engine.hpp carries the sizeof(engine_stats)
                      static_assert that makes R1 unskippable from C++.
+  R7 doc-refs        every *.md document named in a source file under
+                     src/, bench/, examples/ or tests/ (comment or string)
+                     exists: a bare name at the repo root, a name with a
+                     directory relative to it.
 
 `--self-test` seeds one violation per rule in a scratch tree and asserts
 every rule fires — the linter lints itself before it is trusted.
@@ -280,6 +284,28 @@ def check_size_lock(root):
     ]
 
 
+DOC_REF_DIRS = ("src", "bench", "examples", "tests")
+DOC_REF = re.compile(r"(?<![\w./-])([\w][\w./-]*\.md)\b")
+
+
+def check_doc_refs(root):
+    """R7: documents named in sources exist."""
+    out = []
+    for top in DOC_REF_DIRS:
+        for dirpath, _dirs, names in os.walk(os.path.join(root, top)):
+            for name in sorted(names):
+                if not name.endswith((".hpp", ".cpp", ".py")):
+                    continue
+                path = os.path.join(dirpath, name)
+                for ln, line in enumerate(read(path).splitlines(), 1):
+                    for doc in DOC_REF.findall(line):
+                        if not os.path.isfile(os.path.join(root, doc)):
+                            out.append(
+                                f"{rel(root, path)}:{ln}: names {doc}, "
+                                f"which does not exist in the repository")
+    return out
+
+
 RULES = [
     ("stats-fold", check_stats_fold),
     ("poll-at-only", check_poll_at_only),
@@ -287,6 +313,7 @@ RULES = [
     ("no-raw-new", check_no_raw_new),
     ("include-hygiene", check_include_hygiene),
     ("size-lock", check_size_lock),
+    ("doc-refs", check_doc_refs),
 ]
 
 
@@ -336,7 +363,9 @@ def self_test():
         write_tree(tmp, {
             "src/core/engine.hpp": ENGINE_HPP_OK,
             "src/core/executor.hpp": "#pragma once\n",
-            "src/core/clean.cpp": '#include "core/clean.hpp"\nint f();\n',
+            "src/core/clean.cpp":
+                '#include "core/clean.hpp"\n// See DESIGN.md.\nint f();\n',
+            "DESIGN.md": "# Design\n",
             "src/core/clean.hpp": "#pragma once\nint f();\n",
         })
         clean = run_lint(tmp)
@@ -367,6 +396,11 @@ def self_test():
         },
         "include-hygiene": {
             "src/core/bad_inc.hpp": "#include <core/engine.hpp>\nint h();\n",
+        },
+        "doc-refs": {
+            "src/core/bad_doc.cpp":
+                '#include "core/bad_doc.hpp"\n'
+                "// Measured in MISSING.md.\nint g();\n",
         },
         "size-lock": {
             "src/core/engine.hpp": ENGINE_HPP_OK.replace(
