@@ -15,9 +15,9 @@
 // --threads 1.  --kernel selects the merge-plan solve path (DESIGN.md
 // §11): "batch" — the default — drains plan work through the SoA batch
 // kernels with scalar fallback for general-path lanes, "scalar" pins the
-// reference per-pair plan(); trees and every pre-existing statistic are
-// bit-identical either way, only wall-clock and the kernel counters in
-// the stats block move.  --shards K routes through the sharded
+// reference per-pair plan(); nearest-neighbour queries are the same
+// either way.  Trees and every other statistic are bit-identical, only
+// wall-clock and the kernel counters in the stats block move.  --shards K routes through the sharded
 // reduction (partition + parallel sub-reduce + associative stitch;
 // "auto" or 0 picks a count from the instance size and the thread pool,
 // 1 — the default — keeps the monolithic engine; ledger-backed AST modes
@@ -226,8 +226,7 @@ int main(int argc, char** argv) {
     const auto& st = route.stats;
     std::cout << "  kernel          : " << kernel_name << " ("
               << st.batch_planned << " batch-planned, "
-              << st.kernel_fallbacks << " fallbacks, "
-              << st.nn_scratch_reuses << " scratch reuses)\n";
+              << st.kernel_fallbacks << " fallbacks)\n";
     if (st.shards > 0)
         std::cout << "  shards          : " << st.shards
                   << " sub-reductions\n";

@@ -54,12 +54,10 @@ struct engine_scratch::impl {
     // Multi-merge round buffers (slot-indexed NN records, pre-solved plans).
     std::vector<std::pair<topo::node_id, double>> round_nn;
     std::vector<std::optional<merge_plan>> round_plans;
-    // Batch-kernel buffers (engine_options::kernel == batch): the NN
-    // gather scratch of the grid backend's batched queries, and the
+    // Batch-kernel buffers (engine_options::kernel == batch): the
     // pair/fallback-count arrays of the multi-merge rounds' chunked
     // solve_plan_batch dispatches (disjoint slots per chunk, so parallel
     // chunks stay deterministic).
-    nn_query_scratch nnq;
     std::vector<std::pair<topo::node_id, topo::node_id>> kernel_pairs;
     std::vector<int> kernel_fb;
     // Per-step work lists reused across the run (integrate's affected
@@ -76,7 +74,6 @@ struct engine_scratch::impl {
         starved.clear();
         heap.clear();
         radius.clear();
-        nnq.reset();
         kernel_pairs.clear();
         kernel_fb.clear();
         nn_to.assign(ids, topo::knull_node);
@@ -130,9 +127,8 @@ void heap_set(std::vector<T>& h, std::vector<std::uint32_t>& pos, const T& e) {
 
 /// Inlined ban predicate: no std::function on the hot path.  This is the
 /// seed's literal probe — every candidate pair walks the hash set — and
-/// the `kernel = scalar` dispatch keeps it, so the scalar rows of the
-/// perf series stay the frozen reference implementation (the same role
-/// the linear NN backend plays for the grid).
+/// the linear backend keeps it, so that backend's perf rows stay the
+/// frozen reference implementation.
 struct ban_table {
     const std::unordered_set<std::uint64_t>* bans;
     [[nodiscard]] bool operator()(std::uint64_t k) const {
@@ -140,12 +136,11 @@ struct ban_table {
     }
 };
 
-/// Batch-kernel ban predicate (engine_options::kernel == batch): the
-/// packed pair key carries both endpoint ids (pair_key, nn_index.hpp),
-/// so the degree table short-circuits the hash walk whenever either
-/// endpoint has never been part of a ban — the overwhelmingly common
-/// case, since bans accrue one rejected pair at a time while the NN
-/// loops probe every candidate pair they scan.  Bit-identical answers
+/// Grid-backend ban predicate: the packed pair key carries both endpoint
+/// ids (pair_key, nn_index.hpp), so the degree table short-circuits the
+/// hash walk whenever either endpoint has never been part of a ban — the
+/// overwhelmingly common case, since bans accrue one rejected pair at a
+/// time while the NN loops probe every candidate pair they scan.  Bit-identical answers
 /// to ban_table: a pair is in `bans` only if both endpoints' degrees
 /// are nonzero (ban_pair bumps both).
 struct ban_table_fast {
@@ -162,7 +157,7 @@ struct ban_table_fast {
 };
 
 /// Record a banned pair: the hash set answers exact probes, the degree
-/// table powers ban_table's fast path.  The degree vector grows lazily to
+/// table powers ban_table_fast.  The degree vector grows lazily to
 /// the larger endpoint (merged roots mint fresh ids mid-run).
 void ban_pair(engine_scratch::impl& s, topo::node_id a, topo::node_id b) {
     s.banned.insert(pair_key(a, b));
@@ -170,6 +165,24 @@ void ban_pair(engine_scratch::impl& s, topo::node_id a, topo::node_id b) {
     if (s.ban_deg.size() < need) s.ban_deg.resize(need, 0);
     ++s.ban_deg[static_cast<std::size_t>(a)];
     ++s.ban_deg[static_cast<std::size_t>(b)];
+}
+
+/// Run `query(banned)` with centre `i`'s ban predicate, a function of the
+/// backend alone.  The grid prunes by ban degree: a centre that takes part
+/// in no ban runs with the fully inlined no_bans (pair (i, j) can only be
+/// banned if *both* endpoints have nonzero degree, and bans accrue one
+/// rejected pair at a time, so almost every query qualifies), the rest
+/// with ban_table_fast.  The linear backend keeps the seed's ban_table.
+template <class Index, class Query>
+auto with_bans(const engine_scratch::impl& s, topo::node_id i, Query query) {
+    if constexpr (std::is_same_v<Index, grid_index>) {
+        const auto si = static_cast<std::size_t>(i);
+        if (si >= s.ban_deg.size() || s.ban_deg[si] == 0)
+            return query(no_bans{});
+        return query(ban_table_fast{&s.banned, &s.ban_deg});
+    } else {
+        return query(ban_table{&s.banned});
+    }
 }
 
 void note_plan(const merge_plan& p, double dist, engine_stats& st) {
@@ -221,6 +234,8 @@ std::pair<topo::node_id, topo::node_id> forced_nearest_pair(
 /// run state lives in the borrowed engine_scratch::impl.
 template <class Index>
 class nearest_reducer {
+    static constexpr bool kgrid = std::is_same_v<Index, grid_index>;
+
   public:
     nearest_reducer(const merge_solver& solver, const engine_options& opt,
                     topo::clock_tree& t, const std::vector<topo::node_id>& roots,
@@ -231,10 +246,7 @@ class nearest_reducer {
           // every lane anyway, so gate the plan dispatch off entirely and
           // keep the plan counters at zero there.
           batch_on_(opt.kernel == plan_kernel::batch &&
-                    solver.ledger() == nullptr),
-          // NN maintenance reads arcs and bans, never the ledger, so its
-          // fast paths follow the kernel knob alone.
-          nn_batch_(opt.kernel == plan_kernel::batch) {
+                    solver.ledger() == nullptr) {
         s_.reset(t_.size());
         for (topo::node_id r : roots) recompute(r);
     }
@@ -286,7 +298,6 @@ class nearest_reducer {
             const topo::node_id c = solver_.commit(t_, a, b, std::move(*plan));
             integrate(a, b, c);
         }
-        finalize_stats();
         return idx_.active().front();
     }
 
@@ -305,9 +316,9 @@ class nearest_reducer {
     /// Audit-build hook riding the selection checkpoint (DESIGN.md §12):
     /// structural checks every step — both scratch heaps ordered, their
     /// position maps exact and no larger than the live set, and the stats
-    /// books internally consistent — and the full grid-vs-live-set
-    /// cross-check (which walks every cell) every 64th step and on the
-    /// first.
+    /// books internally consistent — and the full grid-vs-live-set and
+    /// per-cell NN-bound cross-checks (which walk every cell) every 64th
+    /// step and on the first.
     void audit_checkpoint(std::uint64_t step) {
         const std::size_t live = idx_.size();
         audit::checkpoint("selection/heap",
@@ -321,25 +332,17 @@ class nearest_reducer {
                           audit::verify_heap_positions(
                               s_.radius, s_.radius_pos, live));
         audit::checkpoint("selection/stats", audit::verify_stats_books(st_));
-        if constexpr (std::is_same_v<Index, grid_index>) {
+        if constexpr (kgrid) {
             if (step % 64 == 1) {
                 audit::checkpoint("selection/grid",
                                   audit::verify_grid_vs_live_set(idx_, t_));
-                if (nn_batch_)
-                    audit::checkpoint(
-                        "selection/grid-nn-bound",
-                        audit::verify_grid_nn_bounds(idx_, s_.nn_dist));
+                audit::checkpoint(
+                    "selection/grid-nn-bound",
+                    audit::verify_grid_nn_bounds(idx_, s_.nn_dist));
             }
         }
     }
 #endif
-
-
-    /// Fold the run's NN scratch reuses into the stats; runs once per
-    /// reduce, at the normal end and before an interrupt unwinds.
-    void finalize_stats() {
-        st_.nn_scratch_reuses += s_.nnq.reuses;
-    }
 
     /// One plan solve, routed through the batch kernel (a chunk of one:
     /// the SoA fast path still skips the scalar path's working-state
@@ -355,7 +358,6 @@ class nearest_reducer {
     }
 
     [[noreturn]] void interrupt(route_status rs) {
-        finalize_stats();
         throw route_interrupt(rs, st_);
     }
 
@@ -372,9 +374,7 @@ class nearest_reducer {
         }
         s_.nn_to[si] = j;
         s_.nn_dist[si] = d;
-        if constexpr (std::is_same_v<Index, grid_index>) {
-            if (nn_batch_) idx_.raise_nn_bound(i, d);
-        }
+        if constexpr (kgrid) idx_.raise_nn_bound(i, d);
         if (j == topo::knull_node) {
             drop_entries(i);
             s_.starved.insert(i);
@@ -401,43 +401,8 @@ class nearest_reducer {
     }
 
     void recompute(topo::node_id i) {
-        // Batch kernel only (ledger-backed solvers included — NN queries
-        // never read the ledger): a centre that takes part in no ban can skip
-        // every per-candidate ban probe — pair (i, j) can only be banned
-        // if *both* endpoints have nonzero ban degree — so the query runs
-        // with the fully inlined no_bans predicate, and centres that do
-        // carry bans still get the degree-pruned probe.  Almost every
-        // recompute qualifies (bans accrue one rejected pair at a time).
-        // The scalar kernel keeps the seed's plain hash probe so the
-        // reference rows of the perf series measure the seed path.
-        if (nn_batch_) {
-            const auto si = static_cast<std::size_t>(i);
-            if (si >= s_.ban_deg.size() || s_.ban_deg[si] == 0) {
-                recompute_with(i, no_bans{});
-                return;
-            }
-            recompute_with(i, ban_table_fast{&s_.banned, &s_.ban_deg});
-            return;
-        }
-        recompute_with(i, ban_table{&s_.banned});
-    }
-
-    template <class Banned>
-    void recompute_with(topo::node_id i, Banned banned) {
-        // The batched ring expansion exists only on the grid backend (the
-        // linear scan has no gather stage worth batching); the reducer's
-        // NN maintenance is single-threaded, so one scratch serves the run.
-        if constexpr (std::is_same_v<Index, grid_index>) {
-            if (nn_batch_) {
-                const auto n = idx_.nearest_if_batched(i, banned, s_.nnq);
-                if (n.has_value())
-                    set_nn(i, n->first, n->second);
-                else
-                    set_nn(i, topo::knull_node, 0.0);
-                return;
-            }
-        }
-        const auto n = idx_.nearest_if(i, banned);
+        const auto n = with_bans<Index>(
+            s_, i, [&](auto banned) { return idx_.nearest_if(i, banned); });
         if (n.has_value())
             set_nn(i, n->first, n->second);
         else
@@ -519,10 +484,10 @@ class nearest_reducer {
     ///   * starved roots: the new root is their only unbanned partner;
     ///   * roots within the influence radius of c's arc: fold c in when
     ///     strictly closer (ties keep the older, smaller id — exactly the
-    ///     backends' tie-break, since c has the largest id).  The batch
-    ///     kernel's grid walk skips every cell whose NN bound c's arc
-    ///     cannot beat (grid_index::for_each_improvable), which finds the
-    ///     same improvable roots as the scan out to the global radius.
+    ///     backends' tie-break, since c has the largest id).  The grid
+    ///     walk skips every cell whose NN bound c's arc cannot beat
+    ///     (grid_index::for_each_improvable), which finds the same
+    ///     improvable roots as the linear backend's scan of every root.
     void integrate(topo::node_id a, topo::node_id b, topo::node_id c) {
         grow(c);
         auto& affected = s_.affected;
@@ -550,34 +515,26 @@ class nearest_reducer {
         }
         const double radius = current_radius();
         const geom::tilted_rect& arc_c = t_.node(c).arc;
-        if constexpr (std::is_same_v<Index, grid_index>) {
-            if (nn_batch_) {
-                // Bounded fold-in: every improvable root, distances from
-                // the SoA kernel (symmetric gap, so the orientation swap
-                // is bitwise-neutral); the duplicate-visit guard and the
-                // strict `<` update are the scalar loop's, applied to
-                // precomputed distances.  Visit order differs from the
-                // scalar loop, which only permutes reverse-list and heap
-                // update order — the selection follows the total
-                // (key, a, b) order.
-                idx_.for_each_improvable(
-                    arc_c, radius, s_.nn_dist, [&](topo::node_id i, double d) {
-                        if (i == c) return;
-                        const auto si = static_cast<std::size_t>(i);
-                        if (s_.nn_to[si] == c) return;
-                        if (d < s_.nn_dist[si]) set_nn(i, c, d);
-                    });
-                recompute(c);
-                return;
-            }
-        }
-        idx_.for_each_within(arc_c, radius, [&](topo::node_id i) {
+        // Fold c into every root it is strictly closer to; the guard skips
+        // c itself and roots already folded (duplicate visits).
+        const auto fold = [&](topo::node_id i, double d) {
             if (i == c) return;
             const auto si = static_cast<std::size_t>(i);
-            if (s_.nn_to[si] == c) return;  // already folded (duplicate visit)
-            const double d = t_.node(i).arc.distance(arc_c);
+            if (s_.nn_to[si] == c) return;
             if (d < s_.nn_dist[si]) set_nn(i, c, d);
-        });
+        };
+        if constexpr (kgrid) {
+            // Bounded fold-in, distances from the SoA kernel (symmetric
+            // gap, so the orientation is bitwise-neutral).  Its visit
+            // order differs from the linear scan's, which only permutes
+            // reverse-list and heap update order — the selection follows
+            // the total (key, a, b) order.
+            idx_.for_each_improvable(arc_c, radius, s_.nn_dist, fold);
+        } else {
+            idx_.for_each_within(arc_c, radius, [&](topo::node_id i) {
+                fold(i, t_.node(i).arc.distance(arc_c));
+            });
+        }
         recompute(c);
     }
 
@@ -602,7 +559,6 @@ class nearest_reducer {
     engine_scratch::impl& s_;
     Index idx_;
     const bool batch_on_;  ///< SoA plan kernels (knob on, ledger-free)
-    const bool nn_batch_;  ///< batched NN queries and bounded fold-in
 };
 
 template <class Index>
@@ -634,7 +590,6 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
     Index idx(&t, roots);
     s.banned.clear();
     s.ban_deg.clear();
-    const ban_table banned_fn{&s.banned};
     task_executor* exec = opt.executor;
     const bool parallel_plans = exec != nullptr && solver.ledger() == nullptr;
     const bool batch_on =
@@ -677,7 +632,11 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
         s.round_nn.assign(m, {topo::knull_node, 0.0});
         auto& nn = s.round_nn;
         run_indexed(exec, m, [&](std::size_t k) {
-            if (const auto n = idx.nearest_if(act[k], banned_fn)) nn[k] = *n;
+            const topo::node_id i = act[k];
+            if (const auto n = with_bans<Index>(s, i, [&](auto banned) {
+                    return idx.nearest_if(i, banned);
+                }))
+                nn[k] = *n;
         });
 
         // Mutually nearest pairs, cheapest first (Edahiro's multi-merge);

@@ -75,19 +75,13 @@ struct engine_options {
     /// solves through the SoA batch kernels of plan_kernels.hpp — window
     /// check, split search and arc-box merge of up to kplan_lanes
     /// independent pairs from one instruction stream, with lanes needing
-    /// the rare general path (empty first window, ledger modes) falling
-    /// back to the scalar solver — and switches the nearest-pair
-    /// reducer's NN maintenance to its fast paths: degree-pruned ban
-    /// probes, and on the grid backend the batched gather/distance
-    /// kernels over reusable scratch plus the bounded fold-in walk
-    /// (DESIGN.md §2).  Trees and every pre-existing statistic are
-    /// bit-identical to `scalar` across backends, thread counts and
-    /// shard counts; only wall-clock and the kernel
-    /// counters below (batch_planned, kernel_fallbacks,
-    /// nn_scratch_reuses) move.  Ledger-backed solvers keep scalar plan
-    /// solves (their plans read offsets that commits bind, so no lane
-    /// qualifies), but their NN maintenance, which never reads the
-    /// ledger, takes the fast paths too.
+    /// the rare general path (empty first window) falling back to the
+    /// scalar solver; `scalar` calls merge_solver::plan per pair.  Trees
+    /// and every other statistic are bit-identical across the two; only
+    /// wall-clock and the kernel counters below (batch_planned,
+    /// kernel_fallbacks) move.  Ledger-backed solvers always solve
+    /// scalar (their plans read offsets that commits bind).  The knob
+    /// steers plan solves only: the NN path follows `backend`.
     plan_kernel kernel = plan_kernel::batch;
     /// Optional worker pool for multi-merge rounds (non-owning; null runs
     /// sequentially).  Each round's nearest-neighbour queries fan out, and
@@ -147,10 +141,6 @@ struct engine_stats {
     // solved.
     int batch_planned = 0;     ///< plans solved by the SoA fast path
     int kernel_fallbacks = 0;  ///< lanes bounced to the scalar solver
-    /// Batched NN queries that found warm gather capacity in the
-    /// engine_scratch buffers (grid backend; the per-query allocation
-    /// they replaced was the old ring-expansion cost).
-    long long nn_scratch_reuses = 0;
     /// Sub-reductions of the sharded path (0 = monolithic reduce).  Set by
     /// the shard driver, which folds every shard's counters into one stats
     /// block with `accumulate` — each shard writes its own block, so the
@@ -159,6 +149,7 @@ struct engine_stats {
     /// Kept only so the frozen perfbench harness compiles; remove with the
     /// next benchmark PR.
     static constexpr int plan_cache_hits = 0, plan_cache_misses = 0;
+    static constexpr long long nn_scratch_reuses = 0;
 
     /// Fold another stats block into this one (per-shard bookkeeping of
     /// the sharded reduction; every additive counter sums, the violation
@@ -177,7 +168,6 @@ struct engine_stats {
         rounds += o.rounds;
         batch_planned += o.batch_planned;
         kernel_fallbacks += o.kernel_fallbacks;
-        nn_scratch_reuses += o.nn_scratch_reuses;
         shards += o.shards;
     }
 };
@@ -188,7 +178,7 @@ struct engine_stats {
 /// accumulate() above — lint.py cross-checks the field list against the
 /// fold — and the expected size here is updated.  Counters must never be
 /// able to dodge the shard/service accounting silently.
-static_assert(sizeof(engine_stats) == 80,
+static_assert(sizeof(engine_stats) == 64,
               "engine_stats changed: fold the new field in accumulate(), "
               "add it to the tools/lint.py field list check, then update "
               "this size lock");

@@ -42,10 +42,9 @@
 /// sized for, `erase` rebuilds the grid over the survivors' current arcs
 /// with correspondingly larger cells.  Rebuilds never change any answer:
 /// `nearest_if` is exact for every cell size (the ring lower bound is
-/// admissible regardless), `for_each_within` stays an admissible superset,
-/// the per-cell NN bounds restart at +inf (the fold-in walk merely loses
-/// pruning until it rescans a cell), and the active_set — the engine's
-/// slot tie-break — is untouched.
+/// admissible regardless), the per-cell NN bounds restart at +inf (the
+/// fold-in walk merely loses pruning until it rescans a cell), and the
+/// active_set — the engine's slot tie-break — is untouched.
 
 #include "core/nn_index.hpp"
 #include "core/plan_kernels.hpp"
@@ -93,62 +92,27 @@ class grid_index {
 
     /// Nearest active root to `id` by arc distance, skipping `id` itself
     /// and banned partners; identical contract (including id tie-breaks) to
-    /// nn_index::nearest_if.
+    /// nn_index::nearest_if.  The ring walk reads the contiguous cell-slab
+    /// mirror and hands each cell's candidate run — the inline ids, or a
+    /// spilled cell's vector, itself one dense id run — to the fused SoA
+    /// kernel `batch_arc_nearest` (DESIGN.md §11), which computes the gaps
+    /// over the packed-arc mirror and folds the running best in the same
+    /// pass.  Exact:
+    ///  * within a ring the candidate order is the slab's, but the fold is
+    ///    a strict lexicographic min over (distance, id) — visit-order
+    ///    independent — and the post-ring best that drives the ring-bound
+    ///    early exit is that same min;
+    ///  * the ban check runs only for candidates that would improve the
+    ///    running best — equivalent to checking every candidate, since a
+    ///    banned candidate never updates the best either way;
+    ///  * the kernel's branchless gap is bit-identical to `interval::gap`
+    ///    (see plan_kernels.hpp).
+    /// Const and scratch-free, so concurrent queries are safe.
     template <class Banned>
     [[nodiscard]] std::optional<std::pair<topo::node_id, double>> nearest_if(
         topo::node_id id, Banned banned) const {
         const geom::tilted_rect& arc = tree_->node(id).arc;
-        const cell_range q = range_of(arc);
-        topo::node_id best = topo::knull_node;
-        double best_d = std::numeric_limits<double>::infinity();
-        const auto consider = [&](topo::node_id other) {
-            if (other == id) return;
-            if (banned(pair_key(id, other))) return;
-            const double d = arc.distance(tree_->node(other).arc);
-            if (d < best_d || (d == best_d && other < best)) {
-                best_d = d;
-                best = other;
-            }
-        };
-        const int max_ring = max_ring_from(q);
-        for (int r = 0; r <= max_ring; ++r) {
-            if (best != topo::knull_node &&
-                static_cast<double>(r - 1) * cell_ > best_d)
-                break;  // ring lower bound beats every remaining candidate
-            visit_ring(q, r, consider);
-        }
-        if (best == topo::knull_node) return std::nullopt;
-        return std::make_pair(best, best_d);
-    }
-
-    /// Batched variant of nearest_if (DESIGN.md §11): the ring walk reads
-    /// the contiguous cell-slab mirror and hands each cell's candidate
-    /// run to the fused SoA kernel `batch_arc_nearest`, which computes
-    /// the gaps over the packed-arc mirror and folds the running best in
-    /// the same pass — no per-candidate materialisation at all for
-    /// inline cells; spilled cells (population past the slab's inline
-    /// capacity) are first compacted into the caller's scratch so the
-    /// kernel still consumes one dense id run.  Bit-identical to
-    /// nearest_if:
-    ///  * the walk visits exactly the scalar walk's ring sets (the slab
-    ///    mirrors cell membership); within a ring the candidate *order*
-    ///    may differ from the cell vectors', but the fold is a strict
-    ///    lexicographic min over (distance, id) — visit-order independent
-    ///    — and the post-ring best that drives the ring-bound early exit
-    ///    is that same min, so termination matches too;
-    ///  * the ban check runs only for candidates that would improve the
-    ///    running best — equivalent to checking every candidate, since a
-    ///    banned candidate never updates the best in either scheme (and
-    ///    the predicate itself reads nothing bans could change);
-    ///  * the kernel's branchless gap is bit-identical to
-    ///    `interval::gap` (see plan_kernels.hpp).
-    template <class Banned>
-    [[nodiscard]] std::optional<std::pair<topo::node_id, double>>
-    nearest_if_batched(topo::node_id id, Banned banned,
-                       nn_query_scratch& scratch) const {
-        if (scratch.ids.capacity() != 0) ++scratch.reuses;
-        const geom::tilted_rect& arc = tree_->node(id).arc;
-        const packed_arc q = arcs_[static_cast<std::size_t>(id)];
+        const packed_arc q = packed_arc::of(arc);
         const cell_range qr = range_of(arc);
         topo::node_id best = topo::knull_node;
         double best_d = std::numeric_limits<double>::infinity();
@@ -158,35 +122,12 @@ class grid_index {
                 static_cast<double>(r - 1) * cell_ > best_d)
                 break;  // ring lower bound beats every remaining candidate
             visit_ring_cells(qr, r, [&](std::size_t c) {
-                const slab_cell& sc = slab_[c];
-                if (sc.n <= slab_cell::kinline) {
-                    batch_arc_nearest(arcs_.data(), sc.ids, sc.n, q, id,
-                                      banned, best, best_d);
-                } else {
-                    scratch.ids.clear();
-                    for (topo::node_id o : cells_[c])
-                        scratch.ids.push_back(o);
-                    batch_arc_nearest(arcs_.data(), scratch.ids.data(),
-                                      scratch.ids.size(), q, id, banned,
-                                      best, best_d);
-                }
+                batch_arc_nearest(arcs_.data(), cell_ids(c), slab_[c].n, q,
+                                  id, banned, best, best_d);
             });
         }
         if (best == topo::knull_node) return std::nullopt;
         return std::make_pair(best, best_d);
-    }
-
-    /// Invoke `fn(id)` for every active root registered in a cell within
-    /// `radius` of `rect`'s covered range — a superset of the roots whose
-    /// arc lies within `radius` of `rect`.  Ids touching several cells are
-    /// reported once per cell; callers must be idempotent.
-    template <class Fn>
-    void for_each_within(const geom::tilted_rect& rect, double radius,
-                         Fn fn) const {
-        const cell_range q = range_of(rect.expanded(std::max(radius, 0.0)));
-        for (int cv = q.v0; cv <= q.v1; ++cv)
-            for (int cu = q.u0; cu <= q.u1; ++cu)
-                for (topo::node_id id : cells_[cell_at(cu, cv)]) fn(id);
     }
 
     /// Raise the NN-distance bound of every cell `id` is registered in to
@@ -236,11 +177,9 @@ class grid_index {
                 if (std::max(gv, gap_lb(p.u_lo, p.u_hi, u_lo_, cu, nu_)) >=
                     nn_bound_[c])
                     continue;  // no occupant's NN can be beaten
-                const slab_cell& sc = slab_[c];
-                const topo::node_id* ids =
-                    sc.n <= slab_cell::kinline ? sc.ids : cells_[c].data();
                 tight = 0.0;
-                batch_arc_for_each(arcs_.data(), ids, sc.n, p, visit);
+                batch_arc_for_each(arcs_.data(), cell_ids(c), slab_[c].n, p,
+                                   visit);
                 nn_bound_[c] = tight;
             }
         }
@@ -268,8 +207,8 @@ class grid_index {
     /// erase that brings the cell back to kinline refills the inline ids
     /// from the vector.  Swap-pop erases permute the inline order, so
     /// slab gathers may report a cell's ids in a different order than
-    /// the vectors — only folds that are order-independent (the batched
-    /// queries' lexicographic-min and strict-`<` folds) may read it.
+    /// the vectors — only folds that are order-independent (nearest_if's
+    /// lexicographic min, the fold-in's strict `<`) may read it.
     struct slab_cell {
         static constexpr std::uint32_t kinline = 7;
         std::uint32_t n = 0;          ///< true population of the cell
@@ -305,6 +244,12 @@ class grid_index {
     }
     [[nodiscard]] int clamp_v(int c) const {
         return std::clamp(c, 0, nv_ - 1);
+    }
+    /// Cell `c`'s occupants as one dense id run: the inline slab ids, or
+    /// the cell vector once the cell has spilled.
+    [[nodiscard]] const topo::node_id* cell_ids(std::size_t c) const {
+        const slab_cell& sc = slab_[c];
+        return sc.n <= slab_cell::kinline ? sc.ids : cells_[c].data();
     }
     [[nodiscard]] cell_range range_of(const geom::tilted_rect& r) const;
     [[nodiscard]] int max_ring_from(const cell_range& q) const;
@@ -347,16 +292,6 @@ class grid_index {
             if (u0 >= 0) fn(cell_at(u0, cv));
             if (u1 < nu_) fn(cell_at(u1, cv));
         }
-    }
-
-    /// Apply `fn` to every candidate in the cells at Chebyshev cell
-    /// distance exactly `r` from range `q` (ring 0 is the range itself).
-    /// Reads the authoritative cell vectors — the scalar (seed) path.
-    template <class Fn>
-    void visit_ring(const cell_range& q, int r, Fn fn) const {
-        visit_ring_cells(q, r, [&](std::size_t c) {
-            for (topo::node_id id : cells_[c]) fn(id);
-        });
     }
 
     const topo::clock_tree* tree_;

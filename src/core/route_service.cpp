@@ -293,11 +293,13 @@ task_executor& route_service::executor() { return *pool_; }
 int route_service::threads() const { return pool_->concurrency(); }
 
 route_result route_service::route_one(routing_request req) {
-    if (opt_.parallel_rounds && req.options.engine.executor == nullptr)
+    // Executor-less requests borrow the pool: the multi-merge rounds, the
+    // shard fan-out and auto_shard_count all read it.  threads_used is
+    // derived by the dispatch from the executor the run actually carried,
+    // so a caller-supplied executor is never misreported as the pool's
+    // width.
+    if (req.options.engine.executor == nullptr)
         req.options.engine.executor = pool_.get();
-    // threads_used is derived by the dispatch from the executor the run
-    // actually carried — a caller-supplied executor or a disabled
-    // parallel_rounds must not be misreported as the pool's width.
     return core::route(req, ctx_);
 }
 

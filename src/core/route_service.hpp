@@ -21,12 +21,13 @@
 /// runaway difficult instance can no longer hold a batch hostage.
 /// `route_batch` remains as a thin submit-all + wait-all wrapper.
 ///
-/// Each request additionally carries the pool down into the merge engine,
-/// whose multi-merge rounds fan their nearest-neighbour queries and plan()
-/// calls out over the same threads (engine.hpp), and — for requests with
-/// `engine.shards != 1` — into the sharded reduction (shard.hpp), whose
-/// sub-reductions run as one shard sub-batch on the same pool under the
-/// submitting request's deadline and priority: the handle's cancel token
+/// A request that carries no executor of its own borrows the pool as its
+/// `engine.executor`: the merge engine's multi-merge rounds fan their
+/// nearest-neighbour queries and plan() calls out over the same threads
+/// (engine.hpp), and — for requests with `engine.shards != 1` — the
+/// sharded reduction (shard.hpp) runs its sub-reductions as one shard
+/// sub-batch on the same pool under the submitting request's deadline and
+/// priority: the handle's cancel token
 /// is polled at every shard's checkpoints, so one deadline bounds the
 /// whole fan-out.  Every fan-out obeys the write-your-own-slot rule, so
 /// served, threaded runs return results bit-identical to direct
@@ -124,9 +125,6 @@ struct service_options {
     int threads = 0;
     /// Default delay model of the owned routing_context.
     rc::delay_model model = rc::delay_model::elmore();
-    /// Hand the pool to the engine so multi-merge rounds fan out; requests
-    /// that already carry an executor keep theirs.
-    bool parallel_rounds = true;
 };
 
 /// Retry discipline for one submission: how many attempts a request gets

@@ -8,6 +8,10 @@ std::string instance::validate() const {
     std::ostringstream err;
     if (sinks.empty()) return "instance has no sinks";
     if (num_groups <= 0) return "num_groups must be positive";
+    // Every group needs a sink, so this rejects what the member count
+    // below would, before sizing that count from an untrusted header.
+    if (static_cast<std::size_t>(num_groups) > sinks.size())
+        return "num_groups exceeds sink count";
     std::vector<int> members(static_cast<std::size_t>(num_groups), 0);
     for (std::size_t i = 0; i < sinks.size(); ++i) {
         const sink& s = sinks[i];

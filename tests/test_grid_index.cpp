@@ -1,8 +1,10 @@
 // Grid-backend equivalence: the spatial grid index must answer exactly the
 // same nearest-neighbour queries (same partner id, same distance, same
 // deterministic tie-breaks) as the linear verification scan, and the full
-// engine must produce identical trees under either backend.  The bounded
-// fold-in walk is checked against a brute-force oracle.
+// engine must produce identical trees under either backend.  The grid
+// query checked here is the production one (slab gather and fused SoA
+// kernel), bans and spilled cells included.  The bounded fold-in walk is
+// checked against a brute-force oracle.
 
 #include "core/audit.hpp"
 #include "core/engine.hpp"
@@ -122,6 +124,39 @@ TEST(GridIndex, MatchesLinearWithLongMergedArcs) {
         active.push_back(c);
     }
     expect_index_equivalence(t, active, 123);
+}
+
+TEST(GridIndex, MatchesLinearOnSpilledCells) {
+    // Twenty coincident sinks share one cell, past the slab's inline
+    // capacity, so queries read that cell's vector; they also tie at
+    // distance 0, so the id tie-break decides every answer among them.
+    auto inst = seeded_instance(60, 19, true, 4);
+    for (std::size_t k = 1; k < 20; ++k) inst.sinks[k].loc = inst.sinks[0].loc;
+    clock_tree t;
+    std::vector<node_id> roots;
+    for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+        roots.push_back(t.add_leaf(inst, static_cast<int>(i)));
+    expect_index_equivalence(t, roots, 19);
+
+    // Erase the stack down through the inline capacity (the erase that
+    // un-spills the cell refills the inline ids) and re-check every
+    // answer after each erase.
+    nn_index lin(&t, roots);
+    grid_index grid(&t, roots);
+    const auto no_ban = [](std::uint64_t) { return false; };
+    for (node_id gone = 1; gone < 16; ++gone) {  // 20 -> 5 stacked
+        lin.erase(gone);
+        grid.erase(gone);
+        for (const node_id q : lin.active()) {
+            const auto l = lin.nearest_if(q, no_ban);
+            const auto g = grid.nearest_if(q, no_ban);
+            ASSERT_EQ(l.has_value(), g.has_value()) << "id " << q;
+            if (l.has_value()) {
+                ASSERT_EQ(l->first, g->first) << "id " << q;
+                ASSERT_EQ(l->second, g->second) << "id " << q;
+            }
+        }
+    }
 }
 
 /// Route the same instance under both backends; trees must be identical in

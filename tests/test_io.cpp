@@ -105,6 +105,16 @@ TEST(InstanceIo, HugeSinkCountFailsOnMissingLinesNotAllocation) {
         << msg;
 }
 
+TEST(InstanceIo, HugeGroupCountFailsOnSinkCountNotAllocation) {
+    // A per-group member count sized from this header would ask for
+    // ~8.6 GB; every group needs a sink, so one sink caps it at one.
+    const std::string msg = parse_failure(
+        "astclk-instance v1\nname t\ndie 100 100\nsource 50 50\n"
+        "groups 2147483647\nsinks 1\n1 1 1e-15 0\n");
+    EXPECT_NE(msg.find("num_groups exceeds sink count"), std::string::npos)
+        << msg;
+}
+
 TEST(InstanceIo, RejectsSinksOutsideTheDieOrNonFinite) {
     std::string msg = parse_failure(std::string(khostile_header) +
                                     "sinks 2\n1 1 1e-15 0\n1e300 5 1e-15 0\n");

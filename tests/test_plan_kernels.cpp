@@ -2,7 +2,7 @@
 // (plan_kernels.hpp) must be a pure *throughput* change — trees and every
 // pre-existing engine statistic bit-identical to the scalar kernel, with
 // only wall-clock and the kernel counters (batch_planned,
-// kernel_fallbacks, nn_scratch_reuses) allowed to move.  Covered here:
+// kernel_fallbacks) allowed to move.  Covered here:
 //
 //  * full identity matrix on r1–r3: batch vs scalar at the *same*
 //    configuration for both NN backends x threads {1, 2, hw} x
@@ -18,15 +18,12 @@
 //    every plan field compared bitwise;
 //  * fallback accounting: a windowed ledger-free solver takes the fast
 //    path (zero fallbacks on the accepted stream), a ledger-backed
-//    solver bounces every lane, the scalar kernel books nothing, and
-//    grid-backend batch runs reuse the NN gather scratch;
+//    solver bounces every lane, and the scalar kernel books nothing;
 //  * ledger-backed routes (soft ledger at 10 ps, automatic at zero and
 //    at 10 ps skew): the batch *plan* dispatch is gated off entirely
-//    (every lane would bounce), so the plan counters stay zero, while
-//    NN maintenance still takes the batched queries and the bounded
-//    fold-in — and the tree matches the scalar kernel run on r1–r5 with
-//    clustered and intermingled groups under both NN backends, and on
-//    l1.
+//    (every lane would bounce), so the plan counters stay zero — and the
+//    tree matches the scalar kernel run on r1–r5 with clustered and
+//    intermingled groups under both NN backends, and on l1.
 
 #include "core/plan_kernels.hpp"
 #include "core/route_service.hpp"
@@ -288,17 +285,15 @@ TEST(PlanKernels, LedgerBackedSolverBouncesEveryLane) {
 
 TEST(PlanKernels, KernelCountersBookWhoSolvedWhat) {
     const auto inst = paper_instance("r1", 6);
-    // Scalar kernel: no batch dispatch anywhere, so all three counters
-    // stay zero.
+    // Scalar kernel: no batch dispatch anywhere, so both counters stay
+    // zero.
     const auto scalar = route(kernel_request(
         inst, plan_kernel::scalar, nn_backend::grid, 1));
     ASSERT_TRUE(scalar.ok());
     EXPECT_EQ(scalar.stats.batch_planned, 0);
     EXPECT_EQ(scalar.stats.kernel_fallbacks, 0);
-    EXPECT_EQ(scalar.stats.nn_scratch_reuses, 0);
 
-    // Batch kernel on the grid backend: the fast path solves plans, and
-    // the ring-expansion gathers find warm scratch after the first query.
+    // Batch kernel on the grid backend: the fast path solves plans.
     const auto batch = route(kernel_request(
         inst, plan_kernel::batch, nn_backend::grid, 1));
     ASSERT_TRUE(batch.ok());
@@ -306,14 +301,12 @@ TEST(PlanKernels, KernelCountersBookWhoSolvedWhat) {
     // Every accepted merge was solved by exactly one of the two paths.
     EXPECT_GE(batch.stats.batch_planned + batch.stats.kernel_fallbacks,
               batch.stats.merges);
-    EXPECT_GT(batch.stats.nn_scratch_reuses, 0);
 
-    // The linear backend never touches the gather scratch.
+    // The plan kernel does not depend on the NN backend.
     const auto linear = route(kernel_request(
         inst, plan_kernel::batch, nn_backend::linear, 1));
     ASSERT_TRUE(linear.ok());
     EXPECT_GT(linear.stats.batch_planned, 0);
-    EXPECT_EQ(linear.stats.nn_scratch_reuses, 0);
 }
 
 // ------------------------------------------------------------- soft ledger
@@ -329,15 +322,14 @@ TEST(PlanKernels, SoftLedgerRouteGatesBatchOffAndStaysIdentical) {
     const auto got = route(batch_req);
     expect_identical(got, ref, "soft ledger");
     // Ledger-backed planning gates the batch plan dispatch off entirely:
-    // no lane would qualify, so nothing is booked to the plan counters
-    // (the batched NN queries still run; see the ledger tests below).
+    // no lane would qualify, so nothing is booked to the plan counters.
     EXPECT_EQ(got.stats.batch_planned, 0);
     EXPECT_EQ(got.stats.kernel_fallbacks, 0);
 }
 
 /// A ledger-backed route under both kernels: trees and statistics must
-/// match, the plan counters must stay at zero (no batch plan dispatch),
-/// and on the grid backend the batched NN queries must have run.
+/// match, and the plan counters must stay at zero (no batch plan
+/// dispatch).
 void expect_ledger_batch_identical(const topo::instance& inst, ast_mode mode,
                                    double bound, nn_backend be,
                                    const std::string& what) {
@@ -352,9 +344,6 @@ void expect_ledger_batch_identical(const topo::instance& inst, ast_mode mode,
     expect_identical(got, ref, what);
     EXPECT_EQ(got.stats.batch_planned, 0) << what;
     EXPECT_EQ(got.stats.kernel_fallbacks, 0) << what;
-    if (be == nn_backend::grid) {
-        EXPECT_GT(got.stats.nn_scratch_reuses, 0) << what;
-    }
 }
 
 TEST(PlanKernels, LedgerModesBatchNnBitIdenticalOnPaperInstances) {
