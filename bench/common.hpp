@@ -57,6 +57,16 @@ struct perf_record {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
+    /// Paired calibration (micro_perf): every repetition runs right after
+    /// one repetition of the calibration row, and these are the median
+    /// over repetitions of (repetition value / that calibration run) for
+    /// the wall-clock and, streaming benches only, the p95 latency; zero
+    /// when unpaired.  The spreads are (max - min) / median of the same
+    /// per-pair ratios — the row's noise band on this machine.
+    double seconds_per_cal = 0.0;
+    double seconds_spread = 0.0;
+    double p95_per_cal = 0.0;
+    double p95_spread = 0.0;
 };
 
 /// Nearest-rank percentile of an ascending-sorted sample (q in [0, 1]);
@@ -88,7 +98,11 @@ inline double percentile_sorted(const std::vector<double>& sorted_xs,
             << ", \"merges_per_sec\": " << r.merges_per_sec
             << ", \"wirelength\": " << r.wirelength
             << ", \"p50\": " << r.p50 << ", \"p95\": " << r.p95
-            << ", \"p99\": " << r.p99 << "}"
+            << ", \"p99\": " << r.p99
+            << ", \"seconds_per_cal\": " << r.seconds_per_cal
+            << ", \"seconds_spread\": " << r.seconds_spread
+            << ", \"p95_per_cal\": " << r.p95_per_cal
+            << ", \"p95_spread\": " << r.p95_spread << "}"
             << (i + 1 < records.size() ? "," : "") << "\n";
     }
     out << "]\n";

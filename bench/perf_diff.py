@@ -5,12 +5,14 @@ baseline and fail on wall-clock (or latency-percentile) regression.
 For every gated series — "bench:backend" or "bench:backend:metric", the
 metric defaulting to "seconds" — present in both files, the largest common
 n is compared; a regression beyond --tolerance (default 20%) fails the
-run.  Because absolute wall-clock shifts with the machine, the current
-numbers are first calibrated by the linear-backend reference (the frozen
-seed implementation): its runtime ratio baseline/current estimates the
-machine-speed factor, and the gated timings are scaled by it before
-comparison (every gated metric is a time, so the same factor applies).
-Pass --no-calibrate for raw wall-clock.
+run.  Because absolute wall-clock shifts with the machine, every gated
+metric is calibrated by the linear-backend reference (engine_reduce:linear,
+the frozen seed implementation).  micro_perf runs one repetition of that
+reference right before every timed repetition and records, per row, the
+median of the per-pair ratios ("<metric>_per_cal") and their spread
+("<metric>_spread"); the gate compares those medians, current over
+baseline, so both sides of every ratio were measured in the same machine
+speed mode.  Pass --no-calibrate for raw wall-clock.
 
 Gated by default: the engine benches, the streamed single-worker p95
 per-request latency (service_stream:t1:p95 — one worker keeps the series
@@ -42,7 +44,6 @@ GATED_DEFAULT = (
     "nearest_pair:t1@0.2,shard_reduce:t1@0.2,degrade_salvage:salvage@0.25,"
     "plan_batch:t1@0.2"
 )
-CALIBRATION_SERIES = ("engine_reduce", "linear")
 
 
 def load(path):
@@ -77,18 +78,6 @@ def main():
 
     base = load(args.baseline)
     cur = load(args.current)
-
-    scale = 1.0
-    if not args.no_calibrate:
-        n = pick_common_n(base, cur, CALIBRATION_SERIES)
-        if n is not None:
-            b = base[CALIBRATION_SERIES][n]["seconds"]
-            c = cur[CALIBRATION_SERIES][n]["seconds"]
-            if b > 0 and c > 0:
-                scale = b / c
-                print(f"calibration ({CALIBRATION_SERIES[0]}/"
-                      f"{CALIBRATION_SERIES[1]} @ n={n}): machine factor "
-                      f"{scale:.3f} (baseline {b:.4f}s / current {c:.4f}s)")
 
     gated = []
     for spec in args.gate.split(","):
@@ -127,8 +116,22 @@ def main():
                   f"{bench}:{backend} on one side; skipped")
             continue
         compared += 1
-        c *= scale
-        ratio = c / b if b > 0 else float("inf")
+        if args.no_calibrate:
+            ratio = c / b if b > 0 else float("inf")
+            how = "raw"
+        else:
+            # The row's median ratio to its paired calibration runs.
+            bp = base[key][n].get(metric + "_per_cal", 0.0)
+            cp = cur[key][n].get(metric + "_per_cal", 0.0)
+            if bp <= 0 or cp <= 0:
+                print(f"perf_diff: {label} has no paired calibration "
+                      f"ratio on one side (rerun micro_perf)",
+                      file=sys.stderr)
+                sys.exit(2)
+            ratio = cp / bp
+            c = b * ratio
+            spread = cur[key][n].get(metric + "_spread", 0.0)
+            how = f"paired, spread {spread:.2f}"
         verdict = "OK"
         if ratio > 1.0 + tolerance:
             verdict = "REGRESSION"
@@ -136,7 +139,7 @@ def main():
         elif ratio < 1.0 - tolerance:
             verdict = "improvement"
         print(f"{label} @ n={n}: baseline {b:.4f}s, current "
-              f"{c:.4f}s (calibrated), ratio {ratio:.2f} -> {verdict}")
+              f"{c:.4f}s ({how}), ratio {ratio:.2f} -> {verdict}")
 
     # Informational: serving throughput/latency and the reference rows of
     # the gated series, never gated here.

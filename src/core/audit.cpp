@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <sstream>
 #include <unordered_set>
@@ -186,6 +187,44 @@ std::string verify_grid_nn_bounds(const grid_index& g,
 std::string verify_grid_vs_live_set(const grid_index& g,
                                     const topo::clock_tree& t) {
     return grid_inspector::check(g, t);
+}
+
+std::string verify_nn_exact(const grid_index& g,
+                            const std::vector<topo::node_id>& nn_to,
+                            const std::vector<double>& nn_dist,
+                            const std::unordered_set<std::uint64_t>& bans) {
+    const auto banned = [&bans](std::uint64_t k) {
+        return bans.count(k) != 0;
+    };
+    std::ostringstream err;
+    err.precision(17);
+    for (const topo::node_id id : g.active()) {
+        const auto sid = static_cast<std::size_t>(id);
+        if (sid >= nn_to.size() || sid >= nn_dist.size()) {
+            err << "live root " << id << " has no NN record";
+            return err.str();
+        }
+        const auto want = g.nearest_if(id, banned);
+        if (!want.has_value()) {
+            if (nn_to[sid] != topo::knull_node) {
+                err << "root " << id << " records NN " << nn_to[sid]
+                    << " but every partner is banned";
+                return err.str();
+            }
+            continue;
+        }
+        // Bitwise distance comparison: the shortcut and the seeded
+        // queries must reproduce the query's exact double.
+        if (nn_to[sid] != want->first ||
+            std::bit_cast<std::uint64_t>(nn_dist[sid]) !=
+                std::bit_cast<std::uint64_t>(want->second)) {
+            err << "root " << id << " records NN " << nn_to[sid] << " at "
+                << nn_dist[sid] << ", a fresh query finds " << want->first
+                << " at " << want->second;
+            return err.str();
+        }
+    }
+    return {};
 }
 
 std::string verify_scratch_lease_balance(const routing_context& ctx) {

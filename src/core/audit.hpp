@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace astclk::core {
@@ -91,6 +92,16 @@ void checkpoint(const char* site, const std::string& diagnostic);
 /// nearest-neighbour distance table.
 [[nodiscard]] std::string verify_grid_nn_bounds(
     const grid_index& g, const std::vector<double>& nn_dist);
+
+/// Exact nearest-neighbour records (the invariant the engine's orphan
+/// shortcut relies on, DESIGN.md §2): for every live root `id` of the
+/// grid, `nn_to[id]` / `nn_dist[id]` equal — bitwise — what an unseeded
+/// `nearest_if` under the ban set `bans` (pair_key keys) returns now, and
+/// a root with no unbanned partner records `knull_node`.
+[[nodiscard]] std::string verify_nn_exact(
+    const grid_index& g, const std::vector<topo::node_id>& nn_to,
+    const std::vector<double>& nn_dist,
+    const std::unordered_set<std::uint64_t>& bans);
 
 /// D-ary heap order over a caller-owned vector (the engine's selection
 /// and radius heaps): no element orders above its parent under `Cmp`

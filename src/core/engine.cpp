@@ -316,9 +316,9 @@ class nearest_reducer {
     /// Audit-build hook riding the selection checkpoint (DESIGN.md §12):
     /// structural checks every step — both scratch heaps ordered, their
     /// position maps exact and no larger than the live set, and the stats
-    /// books internally consistent — and the full grid-vs-live-set and
-    /// per-cell NN-bound cross-checks (which walk every cell) every 64th
-    /// step and on the first.
+    /// books internally consistent — and the full grid-vs-live-set,
+    /// per-cell NN-bound and exact-NN cross-checks (which walk every cell,
+    /// or re-query every live root) every 64th step and on the first.
     void audit_checkpoint(std::uint64_t step) {
         const std::size_t live = idx_.size();
         audit::checkpoint("selection/heap",
@@ -339,6 +339,10 @@ class nearest_reducer {
                 audit::checkpoint(
                     "selection/grid-nn-bound",
                     audit::verify_grid_nn_bounds(idx_, s_.nn_dist));
+                audit::checkpoint("selection/nn-exact",
+                                  audit::verify_nn_exact(idx_, s_.nn_to,
+                                                         s_.nn_dist,
+                                                         s_.banned));
             }
         }
     }
@@ -400,9 +404,16 @@ class nearest_reducer {
             dary_erase<rad_order>(s_.radius, s_.radius_pos, si);
     }
 
-    void recompute(topo::node_id i) {
-        const auto n = with_bans<Index>(
-            s_, i, [&](auto banned) { return idx_.nearest_if(i, banned); });
+    /// Re-query i's nearest neighbour.  `seed` (grid only) is a known
+    /// unbanned active candidate at its exact distance, from which the
+    /// grid query prunes cells (grid_index::nearest_if).
+    void recompute(topo::node_id i, grid_index::nn_seed seed = {}) {
+        const auto n = with_bans<Index>(s_, i, [&](auto banned) {
+            if constexpr (kgrid)
+                return idx_.nearest_if(i, banned, seed);
+            else
+                return idx_.nearest_if(i, banned);
+        });
         if (n.has_value())
             set_nn(i, n->first, n->second);
         else
@@ -505,20 +516,45 @@ class nearest_reducer {
         for (topo::node_id i : affected)
             s_.nn_to[static_cast<std::size_t>(i)] = topo::knull_node;
         idx_.insert(c);
-        for (topo::node_id i : affected) recompute(i);
+        const geom::tilted_rect& arc_c = t_.node(c).arc;
+        // c's query seed (grid): the lexicographic min (d, id) over every
+        // root scored against c below — all active, none banned with the
+        // new root.
+        grid_index::nn_seed seed_c;
+        const auto scored = [&](topo::node_id i, double d) {
+            if (d < seed_c.d || (d == seed_c.d && i < seed_c.id))
+                seed_c = {i, d};
+        };
+        for (topo::node_id i : affected) {
+            if constexpr (kgrid) {
+                // Orphan shortcut: every other root was at >= i's old NN
+                // distance (still in the table), so a strictly closer c is
+                // i's exact nearest neighbour; otherwise c seeds the query.
+                const double d = t_.node(i).arc.distance(arc_c);
+                scored(i, d);
+                if (d < s_.nn_dist[static_cast<std::size_t>(i)])
+                    set_nn(i, c, d);
+                else
+                    recompute(i, {c, d});
+            } else {
+                recompute(i);
+            }
+        }
         if (!s_.starved.empty()) {
             const std::vector<topo::node_id> snapshot(s_.starved.begin(),
                                                       s_.starved.end());
-            const geom::tilted_rect& arc_c0 = t_.node(c).arc;
-            for (topo::node_id i : snapshot)
-                set_nn(i, c, t_.node(i).arc.distance(arc_c0));
+            for (topo::node_id i : snapshot) {
+                const double d = t_.node(i).arc.distance(arc_c);
+                scored(i, d);
+                set_nn(i, c, d);
+            }
         }
         const double radius = current_radius();
-        const geom::tilted_rect& arc_c = t_.node(c).arc;
         // Fold c into every root it is strictly closer to; the guard skips
         // c itself and roots already folded (duplicate visits).
         const auto fold = [&](topo::node_id i, double d) {
             if (i == c) return;
+            if constexpr (kgrid) scored(i, d);
             const auto si = static_cast<std::size_t>(i);
             if (s_.nn_to[si] == c) return;
             if (d < s_.nn_dist[si]) set_nn(i, c, d);
@@ -530,12 +566,13 @@ class nearest_reducer {
             // reverse-list and heap update order — the selection follows
             // the total (key, a, b) order.
             idx_.for_each_improvable(arc_c, radius, s_.nn_dist, fold);
+            recompute(c, seed_c);
         } else {
             idx_.for_each_within(arc_c, radius, [&](topo::node_id i) {
                 fold(i, t_.node(i).arc.distance(arc_c));
             });
+            recompute(c);
         }
-        recompute(c);
     }
 
     /// Every remaining pair is banned: forced minimax merge of the globally

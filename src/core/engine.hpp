@@ -19,8 +19,10 @@
 /// The hot path is sub-quadratic by construction:
 ///   * nearest-neighbour queries go through a uniform spatial grid over the
 ///     arc boxes (grid_index; ring expansion with the arc-distance lower
-///     bound), with the exact linear scan (nn_index) selectable as a
-///     verification backend via `engine_options::backend`;
+///     bound, cells pruned by their own gap bound against the running
+///     best, which a seed — a known candidate — starts low), with the
+///     exact linear scan (nn_index) selectable as a verification backend
+///     via `engine_options::backend`;
 ///   * the cheapest pair is read off a global min-heap keyed by the
 ///     distance lower bound (re-keyed in place with cached true plan cost)
 ///     instead of rescanning the active set; the selection heap and the
@@ -30,8 +32,11 @@
 ///     id -> position map, so no entry is ever stale;
 ///   * after each commit only the affected neighbourhoods are touched:
 ///     roots whose nearest neighbour was one of the merged pair (tracked by
-///     reverse-NN lists) are recomputed, and the new root is folded into
-///     roots within the current nearest-neighbour influence radius — no
+///     reverse-NN lists) are recomputed — on the grid, a new root strictly
+///     closer than their old NN distance is taken with no query, and
+///     otherwise seeds the query — the new root is folded into roots
+///     within the current nearest-neighbour influence radius, and its own
+///     grid query is seeded with the nearest root scored on the way — no
 ///     global recompute, in the forced-merge path included.
 ///
 /// Pairs whose merge is infeasible (irreconcilable multi-group conflicts,

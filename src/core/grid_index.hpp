@@ -25,12 +25,16 @@
 /// `nearest_if` runs a ring (spiral) expansion outward from the query
 /// arc's covered cell range, with that (r-1) * cell admissible lower
 /// bound stopping the search as soon as the next ring cannot beat (or
-/// tie) the best candidate found.  Because arcs are registered in *every*
-/// overlapped cell, a candidate is always discovered at the ring of its
-/// closest cell.  Rings are scanned to `lb <= best` (not `<`) so
-/// equal-distance candidates in farther rings still participate in the
-/// deterministic `other < best` tie-break — the grid returns
-/// bit-identical answers to nn_index.
+/// tie) the best candidate found, and within a ring it skips every cell
+/// whose per-cell gap lower bound (`gap_lb`) is strictly above the
+/// running best.  Because arcs are registered in *every* overlapped
+/// cell, a candidate is always discovered in the cell holding its point
+/// nearest the query, whose bound is <= its distance.  Both tests keep
+/// ties (`lb <= best` is scanned, not only `<`) so equal-distance
+/// candidates in farther cells still participate in the deterministic
+/// `other < best` tie-break — the grid returns bit-identical answers to
+/// nn_index.  A caller that already knows one valid candidate passes it
+/// as a seed, and pruning starts from the first cell.
 ///
 /// Cell size is chosen for ~O(1) expected occupancy: the bounding extent
 /// divided by ceil(sqrt(n)) cells per axis.
@@ -90,18 +94,36 @@ class grid_index {
     [[nodiscard]] int cells_u() const { return nu_; }
     [[nodiscard]] int cells_v() const { return nv_; }
 
+    /// A known candidate for `nearest_if`: an active root, not `id` and
+    /// not banned with it, at its exact arc distance `d` from `id` (the
+    /// kernel's gap; `tilted_rect::distance` is bitwise equal).  The
+    /// default — no id, +inf — seeds nothing.
+    struct nn_seed {
+        topo::node_id id = topo::knull_node;
+        double d = std::numeric_limits<double>::infinity();
+    };
+
     /// Nearest active root to `id` by arc distance, skipping `id` itself
     /// and banned partners; identical contract (including id tie-breaks) to
-    /// nn_index::nearest_if.  The ring walk reads the contiguous cell-slab
-    /// mirror and hands each cell's candidate run — the inline ids, or a
-    /// spilled cell's vector, itself one dense id run — to the fused SoA
-    /// kernel `batch_arc_nearest` (DESIGN.md §11), which computes the gaps
-    /// over the packed-arc mirror and folds the running best in the same
-    /// pass.  Exact:
+    /// nn_index::nearest_if, whatever the `seed`.  The ring walk reads the
+    /// contiguous cell-slab mirror and hands each cell's candidate run —
+    /// the inline ids, or a spilled cell's vector, itself one dense id run
+    /// — to the fused SoA kernel `batch_arc_nearest` (DESIGN.md §11),
+    /// which computes the gaps over the packed-arc mirror and folds the
+    /// running best in the same pass.  Exact:
     ///  * within a ring the candidate order is the slab's, but the fold is
     ///    a strict lexicographic min over (distance, id) — visit-order
     ///    independent — and the post-ring best that drives the ring-bound
     ///    early exit is that same min;
+    ///  * a cell whose gap lower bound to the query (`gap_lb`) is strictly
+    ///    greater than the running best is skipped: a candidate that can
+    ///    still win or tie is registered in the cell holding its arc's
+    ///    point nearest the query, whose bound is <= its distance <= the
+    ///    running best.  Ties must not be pruned (`>`, never `>=`): a
+    ///    smaller id at exactly the running best still wins;
+    ///  * the `seed` starts the running best at a real candidate, so
+    ///    pruning bites from the first cell; the lexicographic min over a
+    ///    set that already contains the seed is unchanged by it;
     ///  * the ban check runs only for candidates that would improve the
     ///    running best — equivalent to checking every candidate, since a
     ///    banned candidate never updates the best either way;
@@ -110,18 +132,21 @@ class grid_index {
     /// Const and scratch-free, so concurrent queries are safe.
     template <class Banned>
     [[nodiscard]] std::optional<std::pair<topo::node_id, double>> nearest_if(
-        topo::node_id id, Banned banned) const {
+        topo::node_id id, Banned banned, nn_seed seed = {}) const {
         const geom::tilted_rect& arc = tree_->node(id).arc;
         const packed_arc q = packed_arc::of(arc);
         const cell_range qr = range_of(arc);
-        topo::node_id best = topo::knull_node;
-        double best_d = std::numeric_limits<double>::infinity();
+        topo::node_id best = seed.id;
+        double best_d = seed.d;
         const int max_ring = max_ring_from(qr);
         for (int r = 0; r <= max_ring; ++r) {
-            if (best != topo::knull_node &&
-                static_cast<double>(r - 1) * cell_ > best_d)
+            if (static_cast<double>(r - 1) * cell_ > best_d)
                 break;  // ring lower bound beats every remaining candidate
-            visit_ring_cells(qr, r, [&](std::size_t c) {
+            visit_ring_cells(qr, r, [&](int cu, int cv) {
+                if (std::max(gap_lb(q.u_lo, q.u_hi, u_lo_, cu, nu_),
+                             gap_lb(q.v_lo, q.v_hi, v_lo_, cv, nv_)) > best_d)
+                    return;  // no occupant can win or tie
+                const std::size_t c = cell_at(cu, cv);
                 batch_arc_nearest(arcs_.data(), cell_ids(c), slab_[c].n, q,
                                   id, banned, best, best_d);
             });
@@ -269,7 +294,7 @@ class grid_index {
         return std::max(0.0, std::max(s_lo - hi, lo - s_hi));
     }
 
-    /// Apply `fn` to the index of every cell at Chebyshev cell distance
+    /// Apply `fn(cu, cv)` to every cell at Chebyshev cell distance
     /// exactly `r` from range `q` (ring 0 is the range itself).
     template <class Fn>
     void visit_ring_cells(const cell_range& q, int r, Fn fn) const {
@@ -279,7 +304,7 @@ class grid_index {
             if (cv < 0 || cv >= nv_) return;
             a = clamp_u(a);
             b = clamp_u(b);
-            for (int cu = a; cu <= b; ++cu) fn(cell_at(cu, cv));
+            for (int cu = a; cu <= b; ++cu) fn(cu, cv);
         };
         if (r == 0) {
             for (int cv = v0; cv <= v1; ++cv) visit_row(cv, u0, u1);
@@ -289,8 +314,8 @@ class grid_index {
         visit_row(v1, u0, u1);  // top edge
         for (int cv = v0 + 1; cv <= v1 - 1; ++cv) {
             if (cv < 0 || cv >= nv_) continue;
-            if (u0 >= 0) fn(cell_at(u0, cv));
-            if (u1 < nu_) fn(cell_at(u1, cv));
+            if (u0 >= 0) fn(u0, cv);
+            if (u1 < nu_) fn(u1, cv);
         }
     }
 

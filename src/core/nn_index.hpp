@@ -19,7 +19,9 @@
 ///    id -> slot map over the swap-and-pop `active_` vector);
 ///  * `nearest_if(id, banned)` returns the nearest active root by arc
 ///    distance with deterministic id tie-breaks (`other < best` on equal
-///    distance), skipping `id` itself and banned partners.
+///    distance), skipping `id` itself and banned partners.  The grid's
+///    query also takes an optional seed (a known valid candidate) that
+///    only prunes its cell walk, never changes the answer.
 ///
 /// The post-commit fold-in is backend-specific: this backend's
 /// `for_each_within` enumerates every active root (an admissible, unpruned

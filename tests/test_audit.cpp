@@ -2,10 +2,10 @@
 //
 //  * self-tests: every audit::verify_* checker runs green on healthy
 //    state, then a violation is seeded — a corrupted edge, a stale grid
-//    registration, a grid NN bound below an occupant's NN distance, a
-//    broken heap order, a heap position map out of step with its heap, a
-//    leaked scratch lease, books that do not sum —
-//    and the checker must name it.  A checker that cannot detect the
+//    registration, a grid NN bound below an occupant's NN distance, an
+//    NN record a fresh query no longer reproduces, a broken heap order,
+//    a heap position map out of step with its heap, a leaked scratch
+//    lease, books that do not sum — and the checker must name it.  A checker that cannot detect the
 //    corruption it claims to guard against is worse than none: it
 //    certifies.
 //  * checkpoint integration: the `checkpoint` helper counts and throws
@@ -21,9 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -148,6 +150,55 @@ TEST(AuditGrid, NnBoundsHoldThroughWalksAndSeededViolationFires) {
     const std::string diag = audit::verify_grid_nn_bounds(g, nn);
     ASSERT_NE(diag, "");
     EXPECT_NE(diag.find("NN bound"), std::string::npos) << diag;
+}
+
+TEST(AuditGrid, NnExactHoldsForFreshRecordsAndSeededViolationsFire) {
+    const auto inst = small_instance(64);
+    topo::clock_tree t;
+    std::vector<topo::node_id> roots;
+    for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+        roots.push_back(t.add_leaf(inst, static_cast<std::int32_t>(i)));
+    grid_index g(&t, roots);
+    std::unordered_set<std::uint64_t> bans;
+    std::vector<topo::node_id> nn_to(t.size(), topo::knull_node);
+    std::vector<double> nn_dist(t.size(), 0.0);
+    const auto refresh = [&](topo::node_id id) {
+        const auto n = g.nearest_if(id, [&](std::uint64_t k) {
+            return bans.count(k) != 0;
+        });
+        nn_to[static_cast<std::size_t>(id)] =
+            n.has_value() ? n->first : topo::knull_node;
+        nn_dist[static_cast<std::size_t>(id)] = n.has_value() ? n->second : 0.0;
+    };
+    for (const topo::node_id id : roots) refresh(id);
+    EXPECT_EQ(audit::verify_nn_exact(g, nn_to, nn_dist, bans), "");
+
+    const topo::node_id q = roots[5];
+    const auto sq = static_cast<std::size_t>(q);
+    const topo::node_id nn = nn_to[sq];
+    // A ban on the recorded pair without re-querying: stale partner.
+    bans.insert(pair_key(q, nn));
+    std::string diag = audit::verify_nn_exact(g, nn_to, nn_dist, bans);
+    ASSERT_NE(diag, "");
+    EXPECT_NE(diag.find("fresh query"), std::string::npos) << diag;
+    refresh(q);
+    refresh(nn);
+    ASSERT_EQ(audit::verify_nn_exact(g, nn_to, nn_dist, bans), "");
+
+    // The right partner at a distance one ulp off: the check is bitwise.
+    nn_dist[sq] = std::nextafter(nn_dist[sq], 1e300);
+    ASSERT_NE(audit::verify_nn_exact(g, nn_to, nn_dist, bans), "");
+    refresh(q);
+
+    // A root recording a partner after all of them were banned.
+    const topo::node_id lone = roots[9];
+    for (const topo::node_id other : roots)
+        if (other != lone) bans.insert(pair_key(lone, other));
+    diag = audit::verify_nn_exact(g, nn_to, nn_dist, bans);
+    ASSERT_NE(diag, "");
+    for (const topo::node_id id : roots) refresh(id);
+    EXPECT_EQ(nn_to[static_cast<std::size_t>(lone)], topo::knull_node);
+    EXPECT_EQ(audit::verify_nn_exact(g, nn_to, nn_dist, bans), "");
 }
 
 // -------------------------------------------------------- heap invariant
@@ -317,6 +368,24 @@ TEST(AuditCheckpoint, AuditBuildDrivesEngineHooks) {
     const route_result res = route(req, ctx);
     ASSERT_TRUE(res.ok()) << res.status_message;
     EXPECT_GT(audit::checkpoints_run(), monolithic);
+}
+
+TEST(AuditCheckpoint, AuditBuildChecksExactNnOnCoincidentSinks) {
+    // Eight coincident sinks per lattice point: orphaned roots tie their
+    // old NN distance (0) with the new root and with older roots, so an
+    // orphan shortcut that took ties would leave records a fresh query
+    // does not reproduce — the selection/nn-exact checkpoint must stay
+    // green on the correct engine.
+    auto inst = small_instance(256);
+    for (std::size_t k = 0; k < inst.sinks.size(); ++k) {
+        const auto point = static_cast<double>(k / 8);
+        inst.sinks[k].loc = {10000.0 + 1000.0 * std::fmod(point, 8.0),
+                             10000.0 + 1000.0 * std::floor(point / 8.0)};
+    }
+    routing_context ctx;
+    const std::uint64_t before = audit::checkpoints_run();
+    (void)route_small(inst, ctx);
+    EXPECT_GT(audit::checkpoints_run(), before);
 }
 #endif
 

@@ -3,8 +3,8 @@
 // deterministic tie-breaks) as the linear verification scan, and the full
 // engine must produce identical trees under either backend.  The grid
 // query checked here is the production one (slab gather and fused SoA
-// kernel), bans and spilled cells included.  The bounded fold-in walk is
-// checked against a brute-force oracle.
+// kernel), bans and spilled cells included, with and without a seed.  The
+// bounded fold-in walk is checked against a brute-force oracle.
 
 #include "core/audit.hpp"
 #include "core/engine.hpp"
@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <unordered_set>
 
 namespace astclk::core {
@@ -159,6 +161,111 @@ TEST(GridIndex, MatchesLinearOnSpilledCells) {
     }
 }
 
+/// Seeded queries against a random index state: for every live query id
+/// and every valid seed — a live root other than the query, not banned
+/// with it, at its exact arc distance — the seeded grid answer must equal
+/// both the unseeded one and the linear scan.
+void expect_seeded_queries_exact(const clock_tree& t, const nn_index& lin,
+                                 const grid_index& grid,
+                                 const std::unordered_set<std::uint64_t>& bans,
+                                 const std::string& what) {
+    const auto banned = [&](std::uint64_t k) { return bans.count(k) > 0; };
+    for (const node_id q : lin.active()) {
+        const auto want = lin.nearest_if(q, banned);
+        const auto plain = grid.nearest_if(q, banned);
+        ASSERT_EQ(want.has_value(), plain.has_value()) << what << " id " << q;
+        if (!want.has_value()) continue;
+        ASSERT_EQ(want->first, plain->first) << what << " id " << q;
+        ASSERT_EQ(want->second, plain->second) << what << " id " << q;
+        for (const node_id s : lin.active()) {
+            if (s == q || banned(pair_key(q, s))) continue;
+            const double d = t.node(q).arc.distance(t.node(s).arc);
+            const auto got = grid.nearest_if(q, banned, {s, d});
+            ASSERT_TRUE(got.has_value()) << what << " id " << q;
+            ASSERT_EQ(want->first, got->first)
+                << what << " id " << q << " seed " << s << " at " << d;
+            ASSERT_EQ(want->second, got->second)
+                << what << " id " << q << " seed " << s << " at " << d;
+        }
+    }
+}
+
+TEST(GridIndex, SeededQueriesMatchUnseededAndLinear) {
+    // Random states built to stress the per-cell pruning:
+    //  * a stack of 12 coincident sinks (a spilled cell, > 7 occupants)
+    //    whose members tie at distance 0 — a seed at 0 prunes every cell
+    //    whose lower bound is > 0, and only the strict test keeps the
+    //    zero-bound cells that hold smaller tied ids;
+    //  * sinks snapped to a coarse lattice, so many pairs tie exactly at
+    //    nonzero distances across neighbouring cells;
+    //  * merged roots with random arcs, a quarter escaping the initial
+    //    hull and so clamped into the border cells;
+    //  * random bans, and erasures past the adaptive-rebuild threshold.
+    for (const std::uint64_t seed : {5u, 43u, 71u}) {
+        auto inst = seeded_instance(90, seed, true, 4);
+        const double lattice = 2000.0;
+        for (auto& sk : inst.sinks) {
+            sk.loc.x = lattice * std::round(sk.loc.x / lattice);
+            sk.loc.y = lattice * std::round(sk.loc.y / lattice);
+        }
+        for (std::size_t k = 1; k < 12; ++k)
+            inst.sinks[k * 7].loc = inst.sinks[0].loc;
+        clock_tree t;
+        std::vector<node_id> live;
+        for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+            live.push_back(t.add_leaf(inst, static_cast<int>(i)));
+        geom::tilted_rect hull = t.node(live.front()).arc;
+        for (const node_id id : live) hull = hull.hull(t.node(id).arc);
+        const double ext = std::max(hull.u().length(), hull.v().length());
+
+        gen::rng rng(seed);
+        const auto axis = [&](const geom::interval& h, double reach) {
+            const double lo = rng.uniform(h.lo - reach, h.hi + reach);
+            const double len =
+                rng.below(2) == 0 ? 0.0 : rng.uniform(0.0, ext / 6.0);
+            return geom::interval(lo, lo + len);
+        };
+        // The grid is sized over the leaves; merged roots inserted after
+        // it may escape that hull and land clamped in the border cells.
+        nn_index lin(&t, live);
+        grid_index grid(&t, live);
+        for (int k = 0; k < 24; ++k) {
+            const double reach = rng.below(4) == 0 ? 1.5 * ext : 0.0;
+            const geom::interval u = axis(hull.u(), reach);
+            const geom::tilted_rect arc(u, axis(hull.v(), reach));
+            const node_id c = t.add_internal(live[0], live[1], arc, 0.0, 0.0,
+                                             0.0, t.node(live[0]).delays);
+            lin.insert(c);
+            grid.insert(c);
+            live.push_back(c);
+        }
+        std::unordered_set<std::uint64_t> bans;
+        for (int k = 0; k < 60; ++k) {
+            const node_id a = live[rng.below(live.size())];
+            const node_id b = live[rng.below(live.size())];
+            if (a != b) bans.insert(pair_key(a, b));
+        }
+        // Every member of the coincident stack banned with one of them.
+        for (std::size_t k = 1; k < 12; ++k)
+            bans.insert(pair_key(live[0], live[k * 7]));
+        const std::string what = "seed " + std::to_string(seed);
+        expect_seeded_queries_exact(t, lin, grid, bans, what);
+
+        // Shrink past 1/4 of the population (the grid rebuilds with
+        // coarser cells), checking along the way.
+        while (lin.size() > 20) {
+            const node_id gone = lin.active()[rng.below(lin.size())];
+            lin.erase(gone);
+            grid.erase(gone);
+            if (lin.size() % 19 == 0)
+                expect_seeded_queries_exact(t, lin, grid, bans,
+                                            what + " shrunk");
+        }
+        EXPECT_GE(grid.rebuilds(), 1) << what;
+        expect_seeded_queries_exact(t, lin, grid, bans, what + " final");
+    }
+}
+
 /// Route the same instance under both backends; trees must be identical in
 /// every engine statistic, wirelength, and per-node geometry.
 void expect_identical_routes(const instance& inst) {
@@ -195,6 +302,21 @@ TEST(GridIndex, EngineProducesIdenticalTreesClustered) {
 
 TEST(GridIndex, EngineProducesIdenticalTreesIntermingled) {
     expect_identical_routes(seeded_instance(220, 23, true, 8));
+}
+
+TEST(GridIndex, EngineProducesIdenticalTreesOnCoincidentLatticeSinks) {
+    // Eight coincident sinks per point of a 1000-unit lattice: merges of
+    // coincident sinks land exactly on their point, so an orphaned root's
+    // distance to the new root ties its old NN distance (0) while other
+    // roots tie there too — the case the engine's orphan shortcut must
+    // leave to a query (only a strictly closer new root is the exact NN).
+    auto inst = seeded_instance(256, 37, true, 4);
+    for (std::size_t k = 0; k < inst.sinks.size(); ++k) {
+        const auto point = static_cast<double>(k / 8);
+        inst.sinks[k].loc = {10000.0 + 1000.0 * std::fmod(point, 8.0),
+                             10000.0 + 1000.0 * std::floor(point / 8.0)};
+    }
+    expect_identical_routes(inst);
 }
 
 TEST(GridIndex, EngineIdenticalUnderMultiMergeAndZst) {
