@@ -6,6 +6,7 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 
@@ -58,14 +59,61 @@ std::string verify_tree_structure(const topo::clock_tree& t,
 }
 
 /// Friend-of-grid_index accessor shim: the auditor reads the private
-/// registration state (spans, cell vectors, slab mirror, packed arcs)
-/// without widening the class's public surface.
+/// registration state (spans, cell slab, spilled-cell vectors, packed
+/// arcs) without widening the class's public surface.
 struct grid_inspector {
+    /// Cell `c`'s occupant run: the inline ids, or a spilled cell's vector.
+    static std::span<const topo::node_id> occupants(const grid_index& g,
+                                                    std::size_t c) {
+        return {g.cell_ids(c), g.slab_[c].n};
+    }
+
     static std::string check(const grid_index& g, const topo::clock_tree& t) {
         std::ostringstream err;
         std::unordered_set<topo::node_id> live(g.active().begin(),
                                                g.active().end());
         if (live.size() != g.active().size()) return "duplicate active id";
+
+        // Cell side first, so the occupant runs read below are sound: a
+        // spilled cell's vector holds exactly its population, an ordinary
+        // cell has no vector contents; every run holds only live ids, each
+        // once and within its span.
+        for (std::size_t c = 0; c < g.cells_.size(); ++c) {
+            const int cu = static_cast<int>(c % static_cast<std::size_t>(g.nu_));
+            const int cv = static_cast<int>(c / static_cast<std::size_t>(g.nu_));
+            const grid_index::slab_cell& sc = g.slab_[c];
+            const std::size_t vec = g.cells_[c].size();
+            if (sc.n > grid_index::slab_cell::kinline ? vec != sc.n
+                                                      : vec != 0) {
+                err << "cell (" << cu << "," << cv << ") of population "
+                    << sc.n << " has a cell vector of " << vec << " ids";
+                return err.str();
+            }
+            std::unordered_set<topo::node_id> ids;
+            for (const topo::node_id id : occupants(g, c)) {
+                if (!ids.insert(id).second) {
+                    err << "id " << id << " registered twice in cell (" << cu
+                        << "," << cv << ")";
+                    return err.str();
+                }
+                if (live.count(id) == 0) {
+                    err << "cell (" << cu << "," << cv
+                        << ") holds non-active id " << id;
+                    return err.str();
+                }
+                if (static_cast<std::size_t>(id) >= g.span_.size()) {
+                    err << "active id " << id << " has no registration record";
+                    return err.str();
+                }
+                const grid_index::cell_range& sp =
+                    g.span_[static_cast<std::size_t>(id)];
+                if (cu < sp.u0 || cu > sp.u1 || cv < sp.v0 || cv > sp.v1) {
+                    err << "id " << id << " found outside its span at cell ("
+                        << cu << "," << cv << ")";
+                    return err.str();
+                }
+            }
+        }
 
         // Active side: span matches the node's current arc, registration
         // covers exactly the span, the packed-arc mirror is current.
@@ -95,58 +143,10 @@ struct grid_inspector {
             }
             for (int cv = have.v0; cv <= have.v1; ++cv) {
                 for (int cu = have.u0; cu <= have.u1; ++cu) {
-                    const auto& cell = g.cells_[g.cell_at(cu, cv)];
-                    const auto hits = static_cast<int>(
-                        std::count(cell.begin(), cell.end(), id));
-                    if (hits != 1) {
-                        err << "id " << id << " appears " << hits
-                            << " times in covered cell (" << cu << "," << cv
-                            << ")";
-                        return err.str();
-                    }
-                }
-            }
-        }
-
-        // Cell side: only live ids, each within its span; slab occupancy
-        // mirror agrees with the authoritative vectors.
-        for (std::size_t c = 0; c < g.cells_.size(); ++c) {
-            const auto& cell = g.cells_[c];
-            const int cu = static_cast<int>(c % static_cast<std::size_t>(g.nu_));
-            const int cv = static_cast<int>(c / static_cast<std::size_t>(g.nu_));
-            for (const topo::node_id id : cell) {
-                if (live.count(id) == 0) {
-                    err << "cell (" << cu << "," << cv
-                        << ") holds non-active id " << id;
-                    return err.str();
-                }
-                const grid_index::cell_range& sp =
-                    g.span_[static_cast<std::size_t>(id)];
-                if (cu < sp.u0 || cu > sp.u1 || cv < sp.v0 || cv > sp.v1) {
-                    err << "id " << id << " found outside its span at cell ("
-                        << cu << "," << cv << ")";
-                    return err.str();
-                }
-            }
-            const grid_index::slab_cell& sc = g.slab_[c];
-            if (sc.n != cell.size()) {
-                err << "slab population " << sc.n << " != cell population "
-                    << cell.size() << " at cell (" << cu << "," << cv << ")";
-                return err.str();
-            }
-            if (sc.n <= grid_index::slab_cell::kinline) {
-                std::unordered_set<topo::node_id> inline_ids;
-                for (std::uint32_t k = 0; k < sc.n; ++k)
-                    inline_ids.insert(sc.ids[k]);
-                if (inline_ids.size() != cell.size()) {
-                    err << "slab inline ids duplicate at cell (" << cu << ","
-                        << cv << ")";
-                    return err.str();
-                }
-                for (const topo::node_id id : cell) {
-                    if (inline_ids.count(id) == 0) {
-                        err << "slab inline ids miss id " << id
-                            << " at cell (" << cu << "," << cv << ")";
+                    const auto run = occupants(g, g.cell_at(cu, cv));
+                    if (std::find(run.begin(), run.end(), id) == run.end()) {
+                        err << "id " << id << " is missing from covered cell ("
+                            << cu << "," << cv << ")";
                         return err.str();
                     }
                 }
@@ -158,10 +158,10 @@ struct grid_inspector {
     static std::string check_nn_bounds(const grid_index& g,
                                        const std::vector<double>& nn_dist) {
         std::ostringstream err;
-        if (g.nn_bound_.size() != g.cells_.size())
+        if (g.nn_bound_.size() != g.slab_.size())
             return "NN-bound table does not match the cell count";
-        for (std::size_t c = 0; c < g.cells_.size(); ++c) {
-            for (const topo::node_id id : g.cells_[c]) {
+        for (std::size_t c = 0; c < g.slab_.size(); ++c) {
+            for (const topo::node_id id : occupants(g, c)) {
                 const auto sid = static_cast<std::size_t>(id);
                 if (sid >= nn_dist.size()) {
                     err << "id " << id << " has no NN-distance record";
@@ -221,6 +221,71 @@ std::string verify_nn_exact(const grid_index& g,
             err << "root " << id << " records NN " << nn_to[sid] << " at "
                 << nn_dist[sid] << ", a fresh query finds " << want->first
                 << " at " << want->second;
+            return err.str();
+        }
+    }
+    return {};
+}
+
+std::string verify_rev_lists(const std::vector<topo::node_id>& live,
+                             const std::vector<topo::node_id>& nn_to,
+                             const reverse_nn_lists& rev) {
+    std::ostringstream err;
+    const std::size_t ids = rev.head.size();
+    if (rev.next.size() < ids || rev.prev.size() < ids || nn_to.size() < ids)
+        return "reverse-list arrays shorter than the id range";
+    std::vector<char> is_live(ids, 0);
+    for (const topo::node_id id : live) {
+        if (static_cast<std::size_t>(id) >= ids) {
+            err << "live root " << id << " is outside the reverse-list range";
+            return err.str();
+        }
+        is_live[static_cast<std::size_t>(id)] = 1;
+    }
+    // Walk every list; a member reached twice (a cycle, or two lists
+    // sharing a tail) stops the walk, so it terminates on any corruption.
+    std::vector<char> seen(ids, 0);
+    for (std::size_t owner = 0; owner < ids; ++owner) {
+        topo::node_id prev = topo::knull_node;
+        for (topo::node_id i = rev.head[owner]; i != topo::knull_node;
+             i = rev.next[static_cast<std::size_t>(i)]) {
+            const auto si = static_cast<std::size_t>(i);
+            if (si >= ids) {
+                err << "list of " << owner << " links out-of-range id " << i;
+                return err.str();
+            }
+            if (seen[si] != 0) {
+                err << "root " << i << " reached twice (cycle or shared "
+                    << "tail) on the list of " << owner;
+                return err.str();
+            }
+            seen[si] = 1;
+            if (is_live[owner] == 0) {
+                err << "dead id " << owner << " still lists root " << i;
+                return err.str();
+            }
+            if (is_live[si] == 0) {
+                err << "list of " << owner << " holds non-live root " << i;
+                return err.str();
+            }
+            if (nn_to[si] != static_cast<topo::node_id>(owner)) {
+                err << "root " << i << " sits on the list of " << owner
+                    << " but its NN is " << nn_to[si];
+                return err.str();
+            }
+            if (rev.prev[si] != prev) {
+                err << "root " << i << " has back link " << rev.prev[si]
+                    << ", expected " << prev;
+                return err.str();
+            }
+            prev = i;
+        }
+    }
+    for (const topo::node_id id : live) {
+        const auto si = static_cast<std::size_t>(id);
+        if (nn_to[si] != topo::knull_node && seen[si] == 0) {
+            err << "root " << id << " is missing from the list of its NN "
+                << nn_to[si];
             return err.str();
         }
     }

@@ -79,10 +79,9 @@ void checkpoint(const char* site, const std::string& diagnostic);
 /// Grid backend vs live set (grid_index's core invariant): every active
 /// root is registered in exactly the cells its recorded span covers, the
 /// span matches the cell range of the node's current arc, every id found
-/// in a cell is active and in range, the packed-arc mirror matches the
-/// tree's arcs, and the slab occupancy mirror agrees with the
-/// authoritative cell vectors (population always; inline ids as a set
-/// when the cell is not spilled).
+/// in a cell is active, in range and there once, the packed-arc mirror
+/// matches the tree's arcs, and a cell vector holds exactly the cell's
+/// population while the cell is spilled and nothing otherwise.
 [[nodiscard]] std::string verify_grid_vs_live_set(const grid_index& g,
                                                   const topo::clock_tree& t);
 
@@ -102,6 +101,16 @@ void checkpoint(const char* site, const std::string& diagnostic);
     const grid_index& g, const std::vector<topo::node_id>& nn_to,
     const std::vector<double>& nn_dist,
     const std::unordered_set<std::uint64_t>& bans);
+
+/// Reverse-NN lists of the nearest-pair reduce (reverse_nn_lists,
+/// engine.hpp) against its NN table: every live root `i` with a partner
+/// (`nn_to[i] != knull_node`) sits exactly once on `nn_to[i]`'s list, and
+/// the lists hold only live roots whose partner is the list's owner, with
+/// consistent back links and no cycles.  A partnerless root sits on no
+/// list, and a dead id owns an empty one.  `live` is the live root set.
+[[nodiscard]] std::string verify_rev_lists(
+    const std::vector<topo::node_id>& live,
+    const std::vector<topo::node_id>& nn_to, const reverse_nn_lists& rev);
 
 /// D-ary heap order over a caller-owned vector (the engine's selection
 /// and radius heaps): no element orders above its parent under `Cmp`

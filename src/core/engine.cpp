@@ -43,7 +43,7 @@ struct engine_scratch::impl {
     pair_cost_cache cost_cache;
     std::vector<topo::node_id> nn_to;  ///< id -> current NN (knull: none)
     std::vector<double> nn_dist;       ///< id -> distance to nn_to
-    std::vector<std::vector<topo::node_id>> rev;  ///< id -> roots whose NN it is
+    reverse_nn_lists rev;              ///< id -> roots whose NN it is
     std::unordered_set<topo::node_id> starved;    ///< all partners banned
     // Addressable 4-ary heaps (dary_heap.hpp), each with its id -> index
     // position map (knpos: the id holds no entry).
@@ -66,7 +66,7 @@ struct engine_scratch::impl {
     std::vector<topo::node_id> affected;
     std::vector<std::uint32_t> ties;
 
-    /// Reinitialise for a run over a tree that currently has `ids` nodes.
+    /// Reinitialise for a run over node ids [0, ids).
     void reset(std::size_t ids) {
         banned.clear();
         ban_deg.clear();
@@ -80,8 +80,7 @@ struct engine_scratch::impl {
         nn_dist.assign(ids, 0.0);
         heap_pos.assign(ids, knpos);
         radius_pos.assign(ids, knpos);
-        if (rev.size() < ids) rev.resize(ids);
-        for (auto& r : rev) r.clear();
+        rev.reset(ids);
     }
 };
 
@@ -247,7 +246,9 @@ class nearest_reducer {
           // keep the plan counters at zero there.
           batch_on_(opt.kernel == plan_kernel::batch &&
                     solver.ledger() == nullptr) {
-        s_.reset(t_.size());
+        // Every id the run will see: the tree's nodes so far plus one new
+        // root per merge.
+        s_.reset(t_.size() + roots.size() - 1);
         for (topo::node_id r : roots) recompute(r);
     }
 
@@ -302,23 +303,14 @@ class nearest_reducer {
     }
 
   private:
-    void grow(topo::node_id max_id) {
-        const auto need = static_cast<std::size_t>(max_id) + 1;
-        if (s_.nn_to.size() >= need) return;
-        s_.nn_to.resize(need, topo::knull_node);
-        s_.nn_dist.resize(need, 0.0);
-        s_.heap_pos.resize(need, knpos);
-        s_.radius_pos.resize(need, knpos);
-        if (s_.rev.size() < need) s_.rev.resize(need);
-    }
-
 #ifdef ASTCLK_AUDIT
     /// Audit-build hook riding the selection checkpoint (DESIGN.md §12):
     /// structural checks every step — both scratch heaps ordered, their
     /// position maps exact and no larger than the live set, and the stats
-    /// books internally consistent — and the full grid-vs-live-set,
-    /// per-cell NN-bound and exact-NN cross-checks (which walk every cell,
-    /// or re-query every live root) every 64th step and on the first.
+    /// books internally consistent — and the reverse-list, grid-vs-live-set,
+    /// per-cell NN-bound and exact-NN cross-checks (which walk every list
+    /// or cell, or re-query every live root) every 64th step and on the
+    /// first.
     void audit_checkpoint(std::uint64_t step) {
         const std::size_t live = idx_.size();
         audit::checkpoint("selection/heap",
@@ -332,18 +324,18 @@ class nearest_reducer {
                           audit::verify_heap_positions(
                               s_.radius, s_.radius_pos, live));
         audit::checkpoint("selection/stats", audit::verify_stats_books(st_));
+        if (step % 64 != 1) return;
+        audit::checkpoint("selection/rev",
+                          audit::verify_rev_lists(idx_.active(), s_.nn_to,
+                                                  s_.rev));
         if constexpr (kgrid) {
-            if (step % 64 == 1) {
-                audit::checkpoint("selection/grid",
-                                  audit::verify_grid_vs_live_set(idx_, t_));
-                audit::checkpoint(
-                    "selection/grid-nn-bound",
-                    audit::verify_grid_nn_bounds(idx_, s_.nn_dist));
-                audit::checkpoint("selection/nn-exact",
-                                  audit::verify_nn_exact(idx_, s_.nn_to,
-                                                         s_.nn_dist,
-                                                         s_.banned));
-            }
+            audit::checkpoint("selection/grid",
+                              audit::verify_grid_vs_live_set(idx_, t_));
+            audit::checkpoint("selection/grid-nn-bound",
+                              audit::verify_grid_nn_bounds(idx_, s_.nn_dist));
+            audit::checkpoint("selection/nn-exact",
+                              audit::verify_nn_exact(idx_, s_.nn_to,
+                                                     s_.nn_dist, s_.banned));
         }
     }
 #endif
@@ -372,10 +364,7 @@ class nearest_reducer {
     void set_nn(topo::node_id i, topo::node_id j, double d) {
         const auto si = static_cast<std::size_t>(i);
         const topo::node_id old = s_.nn_to[si];
-        if (old != topo::knull_node) {
-            auto& r = s_.rev[static_cast<std::size_t>(old)];
-            r.erase(std::find(r.begin(), r.end(), i));
-        }
+        if (old != topo::knull_node) s_.rev.unlink(i, old);
         s_.nn_to[si] = j;
         s_.nn_dist[si] = d;
         if constexpr (kgrid) idx_.raise_nn_bound(i, d);
@@ -388,7 +377,7 @@ class nearest_reducer {
         // the set is empty for almost the whole run — the one-load probe
         // spares a hash erase per neighbour update.
         if (!s_.starved.empty()) s_.starved.erase(i);
-        s_.rev[static_cast<std::size_t>(j)].push_back(i);
+        s_.rev.link(i, j);
         const auto cv = s_.cost_cache.lookup(pair_key(i, j));
         heap_set<sel_order>(s_.heap, s_.heap_pos,
                             {cv.value_or(d), i, cv.has_value()});
@@ -480,10 +469,7 @@ class nearest_reducer {
         idx_.erase(i);
         const auto si = static_cast<std::size_t>(i);
         const topo::node_id old = s_.nn_to[si];
-        if (old != topo::knull_node) {
-            auto& r = s_.rev[static_cast<std::size_t>(old)];
-            r.erase(std::find(r.begin(), r.end(), i));
-        }
+        if (old != topo::knull_node) s_.rev.unlink(i, old);
         s_.nn_to[si] = topo::knull_node;
         drop_entries(i);
         if (!s_.starved.empty()) s_.starved.erase(i);
@@ -500,19 +486,22 @@ class nearest_reducer {
     ///     (grid_index::for_each_improvable), which finds the same
     ///     improvable roots as the linear backend's scan of every root.
     void integrate(topo::node_id a, topo::node_id b, topo::node_id c) {
-        grow(c);
         auto& affected = s_.affected;
         affected.clear();
-        for (topo::node_id i : s_.rev[static_cast<std::size_t>(a)])
-            if (i != b) affected.push_back(i);
-        for (topo::node_id i : s_.rev[static_cast<std::size_t>(b)])
-            if (i != a) affected.push_back(i);
+        const auto orphans = [&](topo::node_id owner, topo::node_id skip) {
+            for (topo::node_id i = s_.rev.head[static_cast<std::size_t>(owner)];
+                 i != topo::knull_node;
+                 i = s_.rev.next[static_cast<std::size_t>(i)])
+                if (i != skip) affected.push_back(i);
+        };
+        orphans(a, b);
+        orphans(b, a);
         erase_node(a);
         erase_node(b);
-        s_.rev[static_cast<std::size_t>(a)].clear();
-        s_.rev[static_cast<std::size_t>(b)].clear();
-        // The affected roots' reverse-list entries died with those clears;
-        // void their records so the recompute below doesn't unlink twice.
+        s_.rev.head[static_cast<std::size_t>(a)] = topo::knull_node;
+        s_.rev.head[static_cast<std::size_t>(b)] = topo::knull_node;
+        // The affected roots' list links died with those heads; void their
+        // records so the recompute below doesn't unlink them.
         for (topo::node_id i : affected)
             s_.nn_to[static_cast<std::size_t>(i)] = topo::knull_node;
         idx_.insert(c);

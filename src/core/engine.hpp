@@ -209,11 +209,56 @@ class route_interrupt : public std::runtime_error {
     engine_stats stats_;
 };
 
-/// Reusable buffers for the engine's selection state (NN records, reverse
-/// lists, heaps).  One reduce run fully reinitialises whatever it borrows,
-/// so reuse never changes results — it only skips the per-run allocations.
-/// Not thread-safe: one scratch serves one engine run at a time (the
-/// routing_context hands out one per concurrent request).
+/// Reverse nearest-neighbour lists of the nearest-pair reduce: for each
+/// root j, the roots whose current NN is j.  Each root sits on at most one
+/// list (its partner's), so the lists are intrusive and doubly linked over
+/// three id-indexed arrays — `head[j]` is j's first member, `next[i]` /
+/// `prev[i]` thread member i through its list (knull ends it; a head's
+/// `prev` is knull).  Link and unlink are O(1) and allocate nothing;
+/// member order is unspecified (the engine only reads the lists as sets).
+/// The links of a root on no list are never read.
+/// audit::verify_rev_lists cross-checks the lists against the NN table.
+struct reverse_nn_lists {
+    std::vector<topo::node_id> head;
+    std::vector<topo::node_id> next;
+    std::vector<topo::node_id> prev;
+
+    /// Empty lists for ids [0, ids).
+    void reset(std::size_t ids) {
+        head.assign(ids, topo::knull_node);
+        next.resize(ids);
+        prev.resize(ids);
+    }
+    /// Put root i on j's list.
+    void link(topo::node_id i, topo::node_id j) {
+        const auto si = static_cast<std::size_t>(i);
+        topo::node_id& h = head[static_cast<std::size_t>(j)];
+        next[si] = h;
+        prev[si] = topo::knull_node;
+        if (h != topo::knull_node) prev[static_cast<std::size_t>(h)] = i;
+        h = i;
+    }
+    /// Take root i off j's list (j must be the list i is on).
+    void unlink(topo::node_id i, topo::node_id j) {
+        const auto si = static_cast<std::size_t>(i);
+        const topo::node_id n = next[si];
+        const topo::node_id p = prev[si];
+        if (p != topo::knull_node)
+            next[static_cast<std::size_t>(p)] = n;
+        else
+            head[static_cast<std::size_t>(j)] = n;
+        if (n != topo::knull_node) prev[static_cast<std::size_t>(n)] = p;
+    }
+};
+
+/// Reusable buffers for the engine's selection state: the NN records, the
+/// intrusive reverse-NN lists (reverse_nn_lists), the addressable heaps
+/// and the per-step work lists, all flat id-indexed or cleared-before-use
+/// vectors.  One reduce run fully reinitialises whatever it borrows
+/// (reset() re-fills the flat arrays; nothing per id is freed or
+/// allocated), so reuse never changes results — it only skips the per-run
+/// allocations.  Not thread-safe: one scratch serves one engine run at a
+/// time (the routing_context hands out one per concurrent request).
 class engine_scratch {
   public:
     engine_scratch();

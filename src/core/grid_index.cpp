@@ -1,5 +1,6 @@
 #include "core/grid_index.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace astclk::core {
@@ -90,10 +91,18 @@ void grid_index::place(topo::node_id id) {
     for (int cv = c.v0; cv <= c.v1; ++cv)
         for (int cu = c.u0; cu <= c.u1; ++cu) {
             const std::size_t at = cell_at(cu, cv);
-            cells_[at].push_back(id);
             slab_cell& sc = slab_[at];
-            if (sc.n < slab_cell::kinline) sc.ids[sc.n] = id;
-            ++sc.n;  // past kinline the cell is spilled; count stays true
+            if (sc.n < slab_cell::kinline) {
+                sc.ids[sc.n] = id;
+            } else {
+                // Spilled (or spilling now): the cell vector takes over,
+                // seeded with the inline ids on the spill itself.
+                auto& cell = cells_[at];
+                if (sc.n == slab_cell::kinline)
+                    cell.assign(sc.ids, sc.ids + slab_cell::kinline);
+                cell.push_back(id);
+            }
+            ++sc.n;
         }
 }
 
@@ -109,14 +118,6 @@ void grid_index::erase(topo::node_id id) {
     for (int cv = c.v0; cv <= c.v1; ++cv)
         for (int cu = c.u0; cu <= c.u1; ++cu) {
             const std::size_t at = cell_at(cu, cv);
-            auto& cell = cells_[at];
-            for (std::size_t k = 0; k < cell.size(); ++k) {
-                if (cell[k] == id) {
-                    cell[k] = cell.back();
-                    cell.pop_back();
-                    break;
-                }
-            }
             slab_cell& sc = slab_[at];
             if (sc.n <= slab_cell::kinline) {
                 // Inline is authoritative: swap-pop the id out of it.
@@ -126,10 +127,20 @@ void grid_index::erase(topo::node_id id) {
                         break;
                     }
                 --sc.n;
-            } else if (--sc.n <= slab_cell::kinline) {
-                // The cell just un-spilled: refill inline from the
-                // (already shrunk) authoritative vector.
-                for (std::uint32_t k = 0; k < sc.n; ++k) sc.ids[k] = cell[k];
+                continue;
+            }
+            auto& cell = cells_[at];
+            for (std::size_t k = 0; k < cell.size(); ++k) {
+                if (cell[k] == id) {
+                    cell[k] = cell.back();
+                    cell.pop_back();
+                    break;
+                }
+            }
+            if (--sc.n == slab_cell::kinline) {
+                // The cell just un-spilled: the inline ids take over again.
+                std::copy(cell.begin(), cell.end(), sc.ids);
+                cell.clear();
             }
         }
     // Occupancy-adaptive rebuild: once the survivors are below 1/4 of the

@@ -106,7 +106,7 @@ class grid_index {
     /// Nearest active root to `id` by arc distance, skipping `id` itself
     /// and banned partners; identical contract (including id tie-breaks) to
     /// nn_index::nearest_if, whatever the `seed`.  The ring walk reads the
-    /// contiguous cell-slab mirror and hands each cell's candidate run —
+    /// contiguous cell slab and hands each cell's candidate run —
     /// the inline ids, or a spilled cell's vector, itself one dense id run
     /// — to the fused SoA kernel `batch_arc_nearest` (DESIGN.md §11),
     /// which computes the gaps over the packed-arc mirror and folds the
@@ -182,8 +182,8 @@ class grid_index {
     /// point nearest `rect`, whose lower bound is <= `d < nn_dist[i]`.
     /// A scanned cell's bound is re-tightened to its occupants' exact
     /// maximum NN distance, read after `fn` ran (`fn` may lower them).
-    /// Ids in several scanned cells are reported once per cell, and cells
-    /// gather from the slab mirror, so callers' folds must be idempotent
+    /// Ids in several scanned cells are reported once per cell, in no
+    /// particular order within a cell, so callers' folds must be idempotent
     /// and visit-order independent (the engine's strict-`<` fold is).
     template <class Fn>
     void for_each_improvable(const geom::tilted_rect& rect, double radius,
@@ -220,20 +220,20 @@ class grid_index {
         int u0 = 0, u1 = 0, v0 = 0, v1 = 0;
     };
 
-    /// Contiguous per-cell occupancy record for the batched gather
-    /// (DESIGN.md §11): one 32-byte slot per cell — the population count
-    /// and up to kinline inline ids.  A ring row reads these slots
-    /// sequentially instead of chasing every cell vector's heap
-    /// allocation, which is where a query at ~1 expected occupant per
-    /// cell spends most of its time.  A cell whose population exceeds
+    /// Per-cell occupancy record, the cell's only registration while it
+    /// holds at most kinline roots: one 32-byte slot per cell — the
+    /// population count and up to kinline inline ids.  A ring row reads
+    /// these slots sequentially (DESIGN.md §11), and place/erase of an
+    /// ordinary cell touch nothing else.  A cell whose population exceeds
     /// kinline (border-cell clamping can pile escaped arcs up) is
-    /// *spilled*: `n` keeps the true count, the inline ids stop being
-    /// authoritative, and the gather falls back to the cell vector; an
-    /// erase that brings the cell back to kinline refills the inline ids
-    /// from the vector.  Swap-pop erases permute the inline order, so
-    /// slab gathers may report a cell's ids in a different order than
-    /// the vectors — only folds that are order-independent (nearest_if's
-    /// lexicographic min, the fold-in's strict `<`) may read it.
+    /// *spilled*: `n` keeps the true count, the inline ids are copied into
+    /// the cell's `cells_` vector, which holds every occupant from then
+    /// on, and gathers read that vector; the erase that brings the cell
+    /// back to kinline moves the ids inline again and empties the vector.
+    /// Swap-pop erases permute both runs, so gathers report a cell's ids
+    /// in no particular order — only folds that are order-independent
+    /// (nearest_if's lexicographic min, the fold-in's strict `<`) may
+    /// read them.
     struct slab_cell {
         static constexpr std::uint32_t kinline = 7;
         std::uint32_t n = 0;          ///< true population of the cell
@@ -326,8 +326,9 @@ class grid_index {
     /// kernel (written by place(); entries of erased ids go stale but are
     /// never gathered — only registered ids reach the kernel).
     std::vector<packed_arc> arcs_;
+    /// cell -> occupants of a spilled cell (empty while the cell is not)
     std::vector<std::vector<topo::node_id>> cells_;
-    std::vector<slab_cell> slab_;  ///< cell -> contiguous occupancy mirror
+    std::vector<slab_cell> slab_;  ///< cell -> population and inline ids
     /// cell -> upper bound on the NN distance of every registered root
     /// (+inf after each sizing; raised by raise_nn_bound, re-tightened by
     /// for_each_improvable).

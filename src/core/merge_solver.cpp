@@ -3,6 +3,7 @@
 #include "rc/solve.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -23,11 +24,34 @@ geom::interval group_window(const geom::interval& a, const geom::interval& b,
     return {a.hi - b.lo - bound, bound + a.lo - b.hi};
 }
 
-/// Mutable copy of both sides' electrical state during planning.
+/// Both sides' electrical state during planning.  The delay maps are read
+/// in place from the tree (`da`, `db`); a side's map is copied into
+/// `da_own` / `db_own` only when an interior snake edits it, so a plan
+/// without interior snakes allocates nothing but the new root's map.
+/// Not copyable or movable: the views may point into the owned copies.
 struct working_state {
-    topo::group_delays da, db;
+    const topo::group_delays* da;
+    const topo::group_delays* db;
     double ca = 0.0, cb = 0.0;
     std::vector<interior_snake> snakes;
+    topo::group_delays da_own, db_own;
+
+    working_state(const topo::tree_node& na, const topo::tree_node& nb)
+        : da(&na.delays), db(&nb.delays), ca(na.subtree_cap),
+          cb(nb.subtree_cap) {}
+    working_state(const working_state&) = delete;
+    working_state& operator=(const working_state&) = delete;
+
+    /// The map behind `view`, made editable: copied into `own` on first
+    /// use, with `view` repointed at the copy.
+    static topo::group_delays& edit(const topo::group_delays*& view,
+                                    topo::group_delays& own) {
+        if (view != &own) {
+            own = *view;
+            view = &own;
+        }
+        return own;
+    }
 
     /// Accumulated snake length already planned on (root, child).
     [[nodiscard]] double planned_gamma(topo::node_id root,
@@ -39,6 +63,29 @@ struct working_state {
     }
 };
 
+/// Soft-ledger target: the median over every group pair (g, h) of
+/// mid_A(g) - mid_B(h) - offset(g, h), so a few drifted groups cannot
+/// hijack it.  The candidates live on the stack for up to kinline pairs
+/// (8 groups a side); only larger group counts spill to the heap.
+double soft_median(const topo::group_delays& da, const topo::group_delays& db,
+                   const offset_ledger& ledger) {
+    constexpr std::size_t kinline = 64;
+    const std::size_t n = da.size() * db.size();
+    std::array<double, kinline> stack;
+    std::vector<double> spill;
+    double* cand = stack.data();
+    if (n > kinline) {
+        spill.resize(n);
+        cand = spill.data();
+    }
+    std::size_t k = 0;
+    for (const auto& [g, iva] : da.entries())
+        for (const auto& [h, ivb] : db.entries())
+            cand[k++] = iva.mid() - ivb.mid() - ledger.offset(g, h);
+    std::nth_element(cand, cand + n / 2, cand + n);
+    return cand[n / 2];
+}
+
 /// Phase 2 of a merge: given the consistent D window, choose the split
 /// (alpha, beta) — on the shortest connection when possible, with root-edge
 /// snaking otherwise — and assemble the plan.
@@ -48,7 +95,7 @@ struct working_state {
 /// no-snake range allows, so consistency drift happens only in lieu of
 /// snake wire.
 merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
-                       const topo::tree_node& nb, working_state ws,
+                       const topo::tree_node& nb, working_state& ws,
                        const geom::interval& window, int shared_count,
                        double violation, std::optional<double> soft_target) {
     const double span = na.arc.distance(nb.arc);
@@ -82,8 +129,8 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
                 // delay spread (unimodal in alpha; ternary search).  This
                 // turns the SDR freedom of disjoint-group merges into fewer
                 // future snakes.
-                const geom::interval oa = ws.da.overall();
-                const geom::interval ob = ws.db.overall();
+                const geom::interval oa = ws.da->overall();
+                const geom::interval ob = ws.db->overall();
                 const auto spread = [&](double al) {
                     const double ea = model.edge_delay(al, ws.ca);
                     const double eb = model.edge_delay(span - al, ws.cb);
@@ -140,7 +187,7 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
     p.new_cap = ws.ca + ws.cb + model.wire_cap(alpha + beta);
     const double ea = model.edge_delay(alpha, ws.ca);
     const double eb = model.edge_delay(beta, ws.cb);
-    p.delays = topo::group_delays::merged(ws.da, ea, ws.db, eb);
+    p.delays = topo::group_delays::merged(*ws.da, ea, *ws.db, eb);
     p.arc = na.arc.expanded(alpha + klen_eps)
                 .intersect(nb.arc.expanded(beta + klen_eps));
     assert(!p.arc.empty());
@@ -168,8 +215,11 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
     const topo::tree_node& na = t.node(a);
     const topo::tree_node& nb = t.node(b);
 
-    working_state ws{na.delays, nb.delays, na.subtree_cap, nb.subtree_cap, {}};
-    const std::vector<topo::group_id> shared = ws.da.shared_with(ws.db);
+    working_state ws(na, nb);
+    int shared_count = 0;
+    ws.da->for_each_shared(
+        *ws.db, [&](topo::group_id, const geom::interval&,
+                    const geom::interval&) { ++shared_count; });
 
     // --- Exact ledger mode (zero intra-group skew): offsets between
     // co-resident groups are globally consistent by construction, so the
@@ -178,28 +228,28 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
     // router's free choice, bound at commit) or a single point read off
     // the ledger.
     if (mode_ == consistency_mode::exact) {
-        const topo::group_id rep_a = ws.da.entries().front().first;
-        const topo::group_id rep_b = ws.db.entries().front().first;
+        const topo::group_id rep_a = ws.da->entries().front().first;
+        const topo::group_id rep_b = ws.db->entries().front().first;
         geom::interval window = geom::interval::all();
         bool binds = true;
         if (ledger_->same(rep_a, rep_b)) {
             binds = false;
-            const double d_req = ws.da.find(rep_a)->lo -
-                                 ws.db.find(rep_b)->lo -
+            const double d_req = ws.da->find(rep_a)->lo -
+                                 ws.db->find(rep_b)->lo -
                                  ledger_->offset(rep_a, rep_b);
             window = geom::interval::at(d_req);
 #ifndef NDEBUG
             // Every shared group must demand the same difference — exactly
             // the consistency the ledger guarantees.
-            for (topo::group_id g : shared) {
-                const double dg = ws.da.find(g)->lo - ws.db.find(g)->lo;
-                assert(std::fabs(dg - d_req) < 1e-15);
-            }
+            ws.da->for_each_shared(
+                *ws.db, [&](topo::group_id, const geom::interval& ia,
+                            const geom::interval& ib) {
+                    assert(std::fabs(ia.lo - ib.lo - d_req) < 1e-15);
+                });
 #endif
         }
-        merge_plan p = place_split(model_, na, nb, std::move(ws), window,
-                                   static_cast<int>(shared.size()), 0.0,
-                                   std::nullopt);
+        merge_plan p = place_split(model_, na, nb, ws, window, shared_count,
+                                   0.0, std::nullopt);
         if (binds) p.order_cost += bind_bias_;
         return p;
     }
@@ -215,18 +265,20 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
 
     const auto compute_window = [&]() {
         geom::interval w = geom::interval::all();
-        for (topo::group_id g : shared) {
-            const geom::interval* ia = ws.da.find(g);
-            const geom::interval* ib = ws.db.find(g);
-            w = w.intersect(group_window(*ia, *ib, spec_.bound(g)));
-        }
+        ws.da->for_each_shared(
+            *ws.db, [&](topo::group_id g, const geom::interval& ia,
+                        const geom::interval& ib) {
+                w = w.intersect(group_window(ia, ib, spec_.bound(g)));
+            });
         return w;
     };
 
     // Attempt an interior snake on `root`'s direct child containing
-    // `target` but not `avoid`; returns true and updates ws on success.
+    // `target` but not `avoid`; returns true and updates ws on success
+    // (the side's map `view` becomes an edited copy in `own`).
     const auto try_interior_snake = [&](topo::node_id root,
-                                        topo::group_delays& side_delays,
+                                        const topo::group_delays*& view,
+                                        topo::group_delays& own,
                                         double& side_cap, topo::group_id target,
                                         topo::group_id avoid,
                                         double delta) -> bool {
@@ -249,7 +301,8 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
                 model_, base_edge, child.subtree_cap, delta);
             if (!gamma.has_value()) continue;
             ws.snakes.push_back({root, child_id, *gamma, delta});
-            for (topo::group_id g2 : child.delays.groups()) {
+            topo::group_delays& side_delays = working_state::edit(view, own);
+            for (const auto& [g2, civ] : child.delays.entries()) {
                 const geom::interval* iv = side_delays.find(g2);
                 assert(iv != nullptr);
                 side_delays.set(g2, iv->shifted(delta));
@@ -260,36 +313,41 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
         return false;
     };
 
-    const int max_iters = 2 * static_cast<int>(shared.size()) + 2;
+    const int max_iters = 2 * shared_count + 2;
     for (int iter = 0; iter <= max_iters; ++iter) {
         window = compute_window();
         if (!window.empty(kdelay_eps)) {
             residual = 0.0;
             break;
         }
-        // Identify the most conflicting pair of groups.
-        topo::group_id g_lo = shared.front(), g_hi = shared.front();
+        // Identify the most conflicting pair of groups (an empty window
+        // means at least one group is shared; the first seeds both).
+        topo::group_id g_lo = -1, g_hi = -1;
         double max_lo = -std::numeric_limits<double>::infinity();
         double min_hi = std::numeric_limits<double>::infinity();
-        for (topo::group_id g : shared) {
-            const geom::interval w =
-                group_window(*ws.da.find(g), *ws.db.find(g), spec_.bound(g));
-            if (w.lo > max_lo) {
-                max_lo = w.lo;
-                g_lo = g;
-            }
-            if (w.hi < min_hi) {
-                min_hi = w.hi;
-                g_hi = g;
-            }
-        }
+        ws.da->for_each_shared(
+            *ws.db, [&](topo::group_id g, const geom::interval& ia,
+                        const geom::interval& ib) {
+                if (g_lo < 0) g_lo = g_hi = g;
+                const geom::interval w = group_window(ia, ib, spec_.bound(g));
+                if (w.lo > max_lo) {
+                    max_lo = w.lo;
+                    g_lo = g;
+                }
+                if (w.hi < min_hi) {
+                    min_hi = w.hi;
+                    g_hi = g;
+                }
+            });
         residual = max_lo - min_hi;
         if (iter == max_iters) break;
         const double delta = residual;
         // Shift W_{g_lo} down by delaying group g_lo on the B side, or
         // W_{g_hi} up by delaying group g_hi on the A side.
-        if (try_interior_snake(b, ws.db, ws.cb, g_lo, g_hi, delta)) continue;
-        if (try_interior_snake(a, ws.da, ws.ca, g_hi, g_lo, delta)) continue;
+        if (try_interior_snake(b, ws.db, ws.db_own, ws.cb, g_lo, g_hi, delta))
+            continue;
+        if (try_interior_snake(a, ws.da, ws.da_own, ws.ca, g_hi, g_lo, delta))
+            continue;
         if (!forced) return std::nullopt;
         break;  // forced: meet at the minimax point below
     }
@@ -300,44 +358,33 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
         // Minimax compromise: halve the worst violation across windows.
         double max_lo = -std::numeric_limits<double>::infinity();
         double min_hi = std::numeric_limits<double>::infinity();
-        for (topo::group_id g : shared) {
-            const geom::interval w =
-                group_window(*ws.da.find(g), *ws.db.find(g), spec_.bound(g));
-            max_lo = std::max(max_lo, w.lo);
-            min_hi = std::min(min_hi, w.hi);
-        }
+        ws.da->for_each_shared(
+            *ws.db, [&](topo::group_id g, const geom::interval& ia,
+                        const geom::interval& ib) {
+                const geom::interval w = group_window(ia, ib, spec_.bound(g));
+                max_lo = std::max(max_lo, w.lo);
+                min_hi = std::min(min_hi, w.hi);
+            });
         const double mid = 0.5 * (max_lo + min_hi);
         window = {mid, mid};
         violation = residual;
     }
 
     // Soft-ledger mode: prefer the globally consistent offset whenever the
-    // no-snake range allows it; use the median over group pairs so a few
-    // drifted groups cannot hijack the target.
+    // no-snake range allows it (soft_median picks the target).
     std::optional<double> soft_target;
     bool binds = false;
     if (mode_ == consistency_mode::soft) {
-        const topo::group_id rep_a = ws.da.entries().front().first;
-        const topo::group_id rep_b = ws.db.entries().front().first;
-        if (ledger_->same(rep_a, rep_b)) {
-            std::vector<double> cand;
-            for (const auto& [g, iva] : ws.da.entries()) {
-                for (const auto& [h, ivb] : ws.db.entries()) {
-                    cand.push_back(iva.mid() - ivb.mid() -
-                                   ledger_->offset(g, h));
-                }
-            }
-            std::nth_element(cand.begin(), cand.begin() + cand.size() / 2,
-                             cand.end());
-            soft_target = cand[cand.size() / 2];
-        } else {
+        const topo::group_id rep_a = ws.da->entries().front().first;
+        const topo::group_id rep_b = ws.db->entries().front().first;
+        if (ledger_->same(rep_a, rep_b))
+            soft_target = soft_median(*ws.da, *ws.db, *ledger_);
+        else
             binds = true;
-        }
     }
 
-    merge_plan p = place_split(model_, na, nb, std::move(ws), window,
-                               static_cast<int>(shared.size()), violation,
-                               soft_target);
+    merge_plan p = place_split(model_, na, nb, ws, window, shared_count,
+                               violation, soft_target);
     if (binds) p.order_cost += bind_bias_;
     return p;
 }
@@ -364,7 +411,7 @@ topo::node_id merge_solver::commit(topo::clock_tree& t, topo::node_id a,
         }
         r.subtree_cap += model_.wire_cap(s.gamma);
         const topo::tree_node& child = t.node(s.child);
-        for (topo::group_id g : child.delays.groups()) {
+        for (const auto& [g, civ] : child.delays.entries()) {
             const geom::interval* iv = r.delays.find(g);
             assert(iv != nullptr);
             r.delays.set(g, iv->shifted(s.delay_shift));

@@ -125,10 +125,9 @@ int solve_chunk(const merge_solver& solver, const topo::clock_tree& t,
     double win_lo[kplan_width], win_hi[kplan_width];
     int shared[kplan_width];
 
-    // --- Kernel 2a: per-lane skew-feasibility window.  The two-pointer
-    // walk visits the shared groups in ascending id order — the same
-    // order (and therefore the same intersect sequence) as the scalar
-    // shared_with() + compute_window() pair.
+    // --- Kernel 2a: per-lane skew-feasibility window over the shared
+    // groups in ascending id order — the same walk (and therefore the
+    // same intersect sequence) as the scalar solver's compute_window().
     int fallbacks = 0;
     std::size_t nf = 0;
     for (std::size_t i = 0; i < m; ++i) {
@@ -137,22 +136,13 @@ int solve_chunk(const merge_solver& solver, const topo::clock_tree& t,
         geom::interval w = geom::interval::all();
         int sh = 0;
         if (fast) {
-            const auto& ea = t.node(a).delays.entries();
-            const auto& eb = t.node(b).delays.entries();
-            std::size_t x = 0, y = 0;
-            while (x < ea.size() && y < eb.size()) {
-                if (ea[x].first < eb[y].first) {
-                    ++x;
-                } else if (eb[y].first < ea[x].first) {
-                    ++y;
-                } else {
-                    w = w.intersect(group_window(ea[x].second, eb[y].second,
-                                                 spec.bound(ea[x].first)));
+            t.node(a).delays.for_each_shared(
+                t.node(b).delays,
+                [&](topo::group_id g, const geom::interval& ia,
+                    const geom::interval& ib) {
+                    w = w.intersect(group_window(ia, ib, spec.bound(g)));
                     ++sh;
-                    ++x;
-                    ++y;
-                }
-            }
+                });
             fast = !w.empty(kdelay_eps);
         }
         if (!fast) {

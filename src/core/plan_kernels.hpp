@@ -19,10 +19,9 @@
 ///     They serve the grid whatever the plan kernel; `engine_options::
 ///     kernel` selects only between the plan solvers below.
 ///  2. **Skew-feasibility / window checks**: the per-group delay windows
-///     of each lane intersected by an allocation-free two-pointer walk
-///     over both sorted delay maps (same ascending order, same
-///     intersection sequence as the scalar `shared_with` +
-///     `compute_window` pair).
+///     of each lane intersected along `group_delays::for_each_shared`, the
+///     allocation-free walk the scalar solver's `compute_window` takes too
+///     (same ascending order, same intersection sequence).
 ///  3. **Arc-box merges**: the TRR expand + intersect of every lane's
 ///     merging segment as plain SoA interval arithmetic.
 ///

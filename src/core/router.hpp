@@ -111,14 +111,19 @@ struct route_result {
 ///    merge; rare irreparable endgame conflicts surface as violations.
 ///  * `soft_ledger` — windows plus the offset ledger as *intent*: merges
 ///    follow the globally consistent offset when it is free and drift only
-///    in lieu of snake wire, which concentrates (and mostly eliminates)
-///    conflicts.
+///    in lieu of snake wire, which concentrates conflicts but does not
+///    remove them: the endgame can still force merges that break the
+///    spec, and the result keeps status `ok`.  l3 clustered (8 groups) at
+///    10 ps makes 2 forced merges and evaluates to a worst intra-group
+///    skew of 1918.9 ps.  Check `route_result::stats.forced_merges` and
+///    `stats.worst_violation` (the worst forced window excess, seconds),
+///    or re-verify the tree with the evaluator.
 ///  * `exact_ledger` — globally consistent inter-group offsets throughout:
 ///    zero intra-group skew guaranteed, conflicts impossible, but free
 ///    offsets commit early (conservative wirelength).
 ///  * `automatic` — one run, no fallback: `exact_ledger` for an all-zero
 ///    spec, `soft_ledger` for any nonzero bound (the exact ledger needs
-///    degenerate delay intervals).
+///    degenerate delay intervals), with the soft ledger's forced merges.
 enum class ast_mode {
     automatic,
     windowed,

@@ -53,19 +53,8 @@ group_delays group_delays::merged(const group_delays& a, double da,
 
 std::vector<group_id> group_delays::shared_with(const group_delays& o) const {
     std::vector<group_id> out;
-    auto ia = entries_.begin();
-    auto ib = o.entries_.begin();
-    while (ia != entries_.end() && ib != o.entries_.end()) {
-        if (ia->first < ib->first)
-            ++ia;
-        else if (ib->first < ia->first)
-            ++ib;
-        else {
-            out.push_back(ia->first);
-            ++ia;
-            ++ib;
-        }
-    }
+    for_each_shared(o, [&out](group_id g, const geom::interval&,
+                              const geom::interval&) { out.push_back(g); });
     return out;
 }
 

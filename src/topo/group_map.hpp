@@ -59,6 +59,25 @@ class group_delays {
     /// Group ids present in both maps (the "shared groups" of a merge).
     [[nodiscard]] std::vector<group_id> shared_with(const group_delays& o) const;
 
+    /// Visit the shared groups in ascending id order without building a
+    /// list: `fn(g, this_interval, other_interval)` per group in both maps.
+    template <class Fn>
+    void for_each_shared(const group_delays& o, Fn fn) const {
+        auto ia = entries_.begin();
+        auto ib = o.entries_.begin();
+        while (ia != entries_.end() && ib != o.entries_.end()) {
+            if (ia->first < ib->first) {
+                ++ia;
+            } else if (ib->first < ia->first) {
+                ++ib;
+            } else {
+                fn(ia->first, ia->second, ib->second);
+                ++ia;
+                ++ib;
+            }
+        }
+    }
+
     /// True when no group id is present in both maps.
     [[nodiscard]] bool disjoint_from(const group_delays& o) const;
 

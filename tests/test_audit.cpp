@@ -3,7 +3,8 @@
 //  * self-tests: every audit::verify_* checker runs green on healthy
 //    state, then a violation is seeded — a corrupted edge, a stale grid
 //    registration, a grid NN bound below an occupant's NN distance, an
-//    NN record a fresh query no longer reproduces, a broken heap order,
+//    NN record a fresh query no longer reproduces, a broken or cyclic
+//    reverse-NN list, a broken heap order,
 //    a heap position map out of step with its heap, a leaked scratch
 //    lease, books that do not sum — and the checker must name it.  A checker that cannot detect the
 //    corruption it claims to guard against is worse than none: it
@@ -199,6 +200,71 @@ TEST(AuditGrid, NnExactHoldsForFreshRecordsAndSeededViolationsFire) {
     for (const topo::node_id id : roots) refresh(id);
     EXPECT_EQ(nn_to[static_cast<std::size_t>(lone)], topo::knull_node);
     EXPECT_EQ(audit::verify_nn_exact(g, nn_to, nn_dist, bans), "");
+}
+
+// ----------------------------------------------------- reverse NN lists
+
+TEST(AuditRevLists, HealthyListsPassSeededBrokenLinksFire) {
+    // Ids 0..6; 5 and 6 are dead.  NN records: 1, 2 and 6 would point at
+    // 0, but 6 is dead and unlisted; 0 -> 1, 3 -> 1, 4 starved (no
+    // partner).
+    const std::vector<topo::node_id> live{0, 1, 2, 3, 4};
+    std::vector<topo::node_id> nn_to{1, 0, 0, 1, topo::knull_node,
+                                     topo::knull_node, topo::knull_node};
+    reverse_nn_lists rev;
+    const auto build = [&] {
+        rev.reset(nn_to.size());
+        for (const topo::node_id id : live)
+            if (nn_to[static_cast<std::size_t>(id)] != topo::knull_node)
+                rev.link(id, nn_to[static_cast<std::size_t>(id)]);
+    };
+    build();
+    ASSERT_EQ(audit::verify_rev_lists(live, nn_to, rev), "");
+
+    // Link and unlink stay exact through churn: 2 moves from 0 to 3.
+    rev.unlink(2, 0);
+    nn_to[2] = 3;
+    rev.link(2, 3);
+    ASSERT_EQ(audit::verify_rev_lists(live, nn_to, rev), "");
+
+    // Seed: a next link bent back onto the list's head — a cycle.
+    const topo::node_id head = rev.head[1];
+    const topo::node_id tail = rev.next[static_cast<std::size_t>(head)];
+    ASSERT_NE(tail, topo::knull_node);
+    rev.next[static_cast<std::size_t>(tail)] = head;
+    std::string diag = audit::verify_rev_lists(live, nn_to, rev);
+    ASSERT_NE(diag, "");
+    EXPECT_NE(diag.find("reached twice"), std::string::npos) << diag;
+    build();
+
+    // Seed: a next link that skips a member (1's list loses a root).
+    rev.next[static_cast<std::size_t>(rev.head[1])] = topo::knull_node;
+    diag = audit::verify_rev_lists(live, nn_to, rev);
+    ASSERT_NE(diag, "");
+    EXPECT_NE(diag.find("missing"), std::string::npos) << diag;
+    build();
+
+    // Seed: a stale back link.
+    rev.prev[static_cast<std::size_t>(rev.head[1])] = 4;
+    diag = audit::verify_rev_lists(live, nn_to, rev);
+    ASSERT_NE(diag, "");
+    EXPECT_NE(diag.find("back link"), std::string::npos) << diag;
+    build();
+
+    // Seed: a dead root linked onto a live list, and a dead owner whose
+    // list was never emptied.
+    rev.link(6, 0);
+    ASSERT_NE(audit::verify_rev_lists(live, nn_to, rev), "");
+    build();
+    rev.link(3, 5);
+    ASSERT_NE(audit::verify_rev_lists(live, nn_to, rev), "");
+    build();
+
+    // Seed: a root on the wrong list (its NN moved without relinking).
+    nn_to[0] = 2;
+    diag = audit::verify_rev_lists(live, nn_to, rev);
+    ASSERT_NE(diag, "");
+    EXPECT_NE(diag.find("but its NN is"), std::string::npos) << diag;
 }
 
 // -------------------------------------------------------- heap invariant

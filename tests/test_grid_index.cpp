@@ -141,14 +141,16 @@ TEST(GridIndex, MatchesLinearOnSpilledCells) {
     expect_index_equivalence(t, roots, 19);
 
     // Erase the stack down through the inline capacity (the erase that
-    // un-spills the cell refills the inline ids) and re-check every
-    // answer after each erase.
+    // un-spills the cell moves the ids inline and empties the cell
+    // vector), then re-insert it past the capacity again (the spilling
+    // insert seeds the vector from the inline ids); re-check every answer
+    // and the registration after each step.
     nn_index lin(&t, roots);
     grid_index grid(&t, roots);
     const auto no_ban = [](std::uint64_t) { return false; };
-    for (node_id gone = 1; gone < 16; ++gone) {  // 20 -> 5 stacked
-        lin.erase(gone);
-        grid.erase(gone);
+    const auto expect_same = [&](node_id step) {
+        ASSERT_EQ(audit::verify_grid_vs_live_set(grid, t), "")
+            << "step " << step;
         for (const node_id q : lin.active()) {
             const auto l = lin.nearest_if(q, no_ban);
             const auto g = grid.nearest_if(q, no_ban);
@@ -158,6 +160,16 @@ TEST(GridIndex, MatchesLinearOnSpilledCells) {
                 ASSERT_EQ(l->second, g->second) << "id " << q;
             }
         }
+    };
+    for (node_id gone = 1; gone < 16; ++gone) {  // 20 -> 5 stacked
+        lin.erase(gone);
+        grid.erase(gone);
+        expect_same(gone);
+    }
+    for (node_id back = 1; back < 16; ++back) {  // 5 -> 20 stacked
+        lin.insert(back);
+        grid.insert(back);
+        expect_same(back);
     }
 }
 
